@@ -971,17 +971,26 @@ let serve_cmd =
        Format.printf "server: %a@." Server.Engine.pp_totals (Server.Engine.totals engine)
      end
      else begin
-       (* Sharded service: [max_transfers] counts settlements fleet-wide —
+       (* Sharded service: [max_transfers] counts hand-overs fleet-wide —
           the group's completion callback is serialized, so a plain counter
-          is race-free; reaching the target stops every shard. *)
+          is race-free. A success is handed over at verification, before
+          its linger, so the fleet stops one linger after the target is
+          reached, as a single engine's [run ~max_transfers] would. *)
        let group_cell = ref None in
        let settled = ref 0 in
+       let linger_s = 3. *. float_of_int (Protocol.Tuning.retransmit_ns tuning) /. 1e9 in
        let on_complete e =
          on_complete e;
          incr settled;
          match max_transfers with
-         | Some n when !settled >= n ->
-             Option.iter Server.Shard_group.stop !group_cell
+         | Some n when !settled = max 1 n ->
+             ignore
+               (Thread.create
+                  (fun () ->
+                    Thread.delay linger_s;
+                    Option.iter Server.Shard_group.stop !group_cell)
+                  ()
+                 : Thread.t)
          | _ -> ()
        in
        let group =

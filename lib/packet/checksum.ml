@@ -15,28 +15,20 @@ let internet ?(initial = 0) buf ~pos ~len =
   done;
   lnot !folded land 0xFFFF
 
-(* The table and the running CRC live in native ints (the polynomial fits in
-   63 bits with room to spare): boxed [Int32] arithmetic in the per-byte loop
-   allocates on every step, and this is the hottest loop in the simulated
-   data path. Only the final result is boxed. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
-         done;
-         !c))
+(* CRC-32 is the per-byte cost of the data path: it runs over every payload
+   byte at encode, at decode, and over the whole segment at both ends. The
+   kernel is a slicing-by-8 C stub (crc32_stubs.c) whose tables are built
+   here, once, at module initialisation — before any domain can race to
+   build them. It neither allocates nor raises; the range check stays on
+   this side, so a bad range is an [Invalid_argument], never a stray read. *)
+external crc32_init : unit -> unit = "lanrepro_crc32_init"
+external crc32_kernel : bytes -> int -> int -> int = "lanrepro_crc32" [@@noalloc]
+
+let () = crc32_init ()
 
 let crc32 buf ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length buf then
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then
     invalid_arg "Checksum.crc32: range out of bounds";
-  let table = Lazy.force crc_table in
-  let crc = ref 0xFFFFFFFF in
-  for i = pos to pos + len - 1 do
-    let index = (!crc lxor Char.code (Bytes.unsafe_get buf i)) land 0xFF in
-    crc := Array.unsafe_get table index lxor (!crc lsr 8)
-  done;
-  Int32.of_int (!crc lxor 0xFFFFFFFF)
+  Int32.of_int (crc32_kernel buf pos len)
 
 let crc32_string s = crc32 (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

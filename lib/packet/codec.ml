@@ -52,48 +52,53 @@ let encode (m : Message.t) =
 
 let u32 buf pos = Int32.to_int (Bytes.get_int32_be buf pos) land 0xFFFFFFFF
 
+(* [encode] sums the header with its checksum field (bytes 18-19) zeroed. A
+   zero word adds nothing to a ones'-complement sum, so summing the nine
+   words before the field and the words after it gives the same value
+   without writing to — or copying — the datagram. *)
+let header_checksum buf ~pos ~header =
+  let before = ref 0 in
+  for i = 0 to 8 do
+    before := !before + Bytes.get_uint16_be buf (pos + (2 * i))
+  done;
+  Checksum.internet ~initial:!before buf ~pos:(pos + 20) ~len:(header - 20)
+
 let decode_sub buf ~pos ~len =
   (* Total function over arbitrary byte ranges: a hostile or truncated
-     datagram must yield [Error], never an exception. *)
+     datagram must yield [Error], never an exception. The datagram is read
+     where it lies and left untouched; only the payload is copied out. *)
   if pos < 0 || len < 0 || pos > Bytes.length buf - len then Error Too_short
   else if len < header_bytes then Error Too_short
+  else if Bytes.get_uint16_be buf pos <> magic then Error Bad_magic
   else begin
-    let view = Bytes.sub buf pos len in
-    if Bytes.get_uint16_be view 0 <> magic then Error Bad_magic
+    let v = Bytes.get_uint8 buf (pos + 2) in
+    if v <> version && v <> version_v2 then Error (Bad_version v)
     else begin
-      let v = Bytes.get_uint8 view 2 in
-      if v <> version && v <> version_v2 then Error (Bad_version v)
+      let header = if v = version then header_bytes else header_bytes_v2 in
+      if len < header then Error Too_short
       else begin
-        let header = if v = version then header_bytes else header_bytes_v2 in
-        if len < header then Error Too_short
+        let declared = Bytes.get_uint16_be buf (pos + 16) in
+        let actual = len - header in
+        if declared <> actual then Error (Length_mismatch { declared; actual })
+        else if Bytes.get_uint16_be buf (pos + 18) <> header_checksum buf ~pos ~header then
+          Error Bad_header_checksum
         else begin
-          let declared = Bytes.get_uint16_be view 16 in
-          let actual = len - header in
-          if declared <> actual then Error (Length_mismatch { declared; actual })
-          else begin
-            let stored_sum = Bytes.get_uint16_be view 18 in
-            Bytes.set_uint16_be view 18 0;
-            let computed = Checksum.internet view ~pos:0 ~len:header in
-            if stored_sum <> computed then Error Bad_header_checksum
-            else begin
-              match Kind.of_byte (Bytes.get_uint8 view 3) with
-              | None -> Error (Bad_kind (Bytes.get_uint8 view 3))
-              | Some kind ->
-                  let stored_crc = Bytes.get_int32_be view 20 in
-                  let crc = Checksum.crc32 view ~pos:header ~len:actual in
-                  if stored_crc <> crc then Error Bad_payload_checksum
-                  else
-                    Ok
-                      {
-                        Message.kind;
-                        transfer_id = u32 view 4;
-                        seq = u32 view 8;
-                        total = u32 view 12;
-                        payload = Bytes.sub_string view header actual;
-                        budget = (if v = version then None else Some (u32 view 24));
-                      }
-            end
-          end
+          match Kind.of_byte (Bytes.get_uint8 buf (pos + 3)) with
+          | None -> Error (Bad_kind (Bytes.get_uint8 buf (pos + 3)))
+          | Some kind ->
+              let stored_crc = Bytes.get_int32_be buf (pos + 20) in
+              let crc = Checksum.crc32 buf ~pos:(pos + header) ~len:actual in
+              if stored_crc <> crc then Error Bad_payload_checksum
+              else
+                Ok
+                  {
+                    Message.kind;
+                    transfer_id = u32 buf (pos + 4);
+                    seq = u32 buf (pos + 8);
+                    total = u32 buf (pos + 12);
+                    payload = Bytes.sub_string buf (pos + header) actual;
+                    budget = (if v = version then None else Some (u32 buf (pos + 24)));
+                  }
         end
       end
     end

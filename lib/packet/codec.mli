@@ -42,3 +42,7 @@ val decode : bytes -> (Message.t, error) result
 (** Rejects truncated, corrupted or trailing-garbage datagrams. *)
 
 val decode_sub : bytes -> pos:int -> len:int -> (Message.t, error) result
+(** {!decode} of the [len] bytes at [pos], read in place: the header
+    checksum and the payload CRC are verified without copying or modifying
+    [buf], and only the payload is copied out. An out-of-range window is
+    [Error Too_short], never an exception. *)

@@ -219,12 +219,10 @@ let manifest_size t =
   Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) t.manifests;
   Hashtbl.iter
     (fun _ fs ->
-      match (Sockets.Flow.completed fs.flow, Sockets.Flow.stripe fs.flow) with
-      | Some c, Some s
-        when c.Sockets.Flow.outcome = Protocol.Action.Success
-             && c.Sockets.Flow.integrity = Sockets.Flow.Verified ->
+      match Sockets.Flow.verified_stripe fs.flow with
+      | Some { Packet.Stripe.stripe = s; _ } ->
           Hashtbl.replace keys (s.Packet.Stripe.object_id, s.Packet.Stripe.index) ()
-      | _ -> ())
+      | None -> ())
     t.flows;
   Hashtbl.length keys
 
@@ -238,17 +236,10 @@ let manifest t ~object_id =
     t.manifests;
   Hashtbl.iter
     (fun _ fs ->
-      match (Sockets.Flow.completed fs.flow, Sockets.Flow.stripe fs.flow) with
-      | Some c, Some stripe
-        when c.Sockets.Flow.outcome = Protocol.Action.Success
-             && c.Sockets.Flow.integrity = Sockets.Flow.Verified
-             && stripe.Packet.Stripe.object_id = object_id ->
-          Hashtbl.replace best stripe.Packet.Stripe.index
-            {
-              Packet.Stripe.stripe;
-              bytes = String.length c.Sockets.Flow.data;
-              crc = Packet.Checksum.crc32_string c.Sockets.Flow.data;
-            }
+      match Sockets.Flow.verified_stripe fs.flow with
+      | Some ({ Packet.Stripe.stripe; _ } as entry)
+        when stripe.Packet.Stripe.object_id = object_id ->
+          Hashtbl.replace best stripe.Packet.Stripe.index entry
       | _ -> ())
     t.flows;
   Hashtbl.fold (fun _ entry acc -> entry :: acc) best []
@@ -346,6 +337,20 @@ let reschedule t key fs =
           fs.scheduled_at <- deadline
         end
 
+(* The hand-over: [on_complete] sees each admitted flow exactly once, as
+   soon as it settles — for a success the moment the whole-segment CRC has
+   been checked, so the flow lingers holding no payload — or when a live
+   flow is force-settled. *)
+let hand_over t fs ~now =
+  match Sockets.Flow.take_completion fs.flow with
+  | None -> ()
+  | Some completion ->
+      t.on_complete
+        { peer = fs.peer; completion; started_ns = fs.started_ns; finished_ns = now }
+
+(* Linger end (or force-settle): the flow leaves the table and is counted.
+   Its payload, if any, went out through [hand_over] already — or goes now,
+   for a flow that never lingered. *)
 let finalize ?(superseded = false) t key fs (completion : Sockets.Flow.completion)
     ~now =
   Hashtbl.remove t.flows key;
@@ -380,17 +385,12 @@ let finalize ?(superseded = false) t key fs (completion : Sockets.Flow.completio
   (* A CRC-verified striped success makes this server a durable replica of
      that stripe: record it, so MREQ queries (and the repair pass behind
      them) see exactly what would survive a re-read. *)
-  (match (completion.Sockets.Flow.outcome, Sockets.Flow.stripe fs.flow) with
-  | Protocol.Action.Success, Some stripe
-    when completion.Sockets.Flow.integrity = Sockets.Flow.Verified ->
+  (match Sockets.Flow.verified_stripe fs.flow with
+  | Some ({ Packet.Stripe.stripe; _ } as entry) ->
       Hashtbl.replace t.manifests
         (stripe.Packet.Stripe.object_id, stripe.Packet.Stripe.index)
-        {
-          Packet.Stripe.stripe;
-          bytes = String.length completion.Sockets.Flow.data;
-          crc = Packet.Checksum.crc32_string completion.Sockets.Flow.data;
-        }
-  | _ -> ());
+        entry
+  | None -> ());
   (match completion.Sockets.Flow.outcome with
   | Protocol.Action.Success ->
       t.totals.completed <- t.totals.completed + 1;
@@ -403,12 +403,13 @@ let finalize ?(superseded = false) t key fs (completion : Sockets.Flow.completio
       f "flow %d settled (%a); %d active" completion.Sockets.Flow.transfer_id
         Protocol.Action.pp_outcome completion.Sockets.Flow.outcome
         (Hashtbl.length t.flows));
-  t.on_complete { peer = fs.peer; completion; started_ns = fs.started_ns; finished_ns = now }
+  hand_over t fs ~now
 
 let settle_if_done t key fs ~now =
   match Sockets.Flow.status fs.flow with
   | `Done completion -> finalize t key fs completion ~now
-  | `Running | `Lingering -> ()
+  | `Lingering -> hand_over t fs ~now
+  | `Running -> ()
 
 let reject t ~now ~from ~transfer_id =
   t.totals.rejected <- t.totals.rejected + 1;
@@ -853,7 +854,8 @@ let run ?max_transfers t =
       (float_of_int (pre_wait - now + (t.clock () - resumed)))
   done;
   (* Shutdown settles every live flow to a typed result — nothing is left
-     dangling, and the caller's on_complete sees each one exactly once. *)
+     dangling, and the caller's on_complete sees each one exactly once
+     (a lingering flow's hand-over already happened). *)
   let remaining = Hashtbl.fold (fun key fs acc -> (key, fs) :: acc) t.flows [] in
   List.iter
     (fun (key, fs) ->

@@ -52,7 +52,11 @@ type completion_event = {
   peer : Unix.sockaddr;
   completion : Sockets.Flow.completion;
   started_ns : int;  (** monotonic, REQ admission *)
-  finished_ns : int;  (** monotonic, flow settled *)
+  finished_ns : int;
+      (** monotonic, hand-over: for a success the instant the whole-segment
+          CRC was checked, which is before the flow's linger, so
+          [finished_ns - started_ns] is the transfer's own time; for any
+          other outcome the instant the flow was settled *)
 }
 
 (** Loop health, observed from inside the serving loop. [tick_duration_ns]
@@ -126,8 +130,19 @@ val create :
     through one [recvmmsg] and flushes every queued ack/REJ/delayed emission
     as one [sendmmsg] train). [ctx.metrics]
     carries an [active_flows] gauge, admission counters and, at shutdown,
-    the merged counter roll-up, all labelled [side=server]. [on_complete]
-    fires once per settled flow, from the serving thread. Raises
+    the merged counter roll-up, all labelled [side=server].
+
+    [on_complete] fires exactly once per admitted flow, from the serving
+    thread, and is where the payload leaves the engine. A transfer that
+    completes fires it at once — the moment the whole-segment CRC has been
+    checked, with the reassembled bytes in [completion.data] (the flow's
+    buffer itself, handed over without a copy) — and then lingers for its
+    sender's duplicate terminators holding no payload; a linger that ends
+    in supersede or shutdown does not fire it again. Any other outcome
+    (idle watchdog, protocol failure, a running flow superseded or
+    force-settled at shutdown) fires it when the flow settles. Totals, the
+    flowtrace terminal, [run ~max_transfers] and admission still count a
+    flow until its linger ends. Raises
     [Invalid_argument] on a negative [max_flows] or non-positive
     [drain_budget]; [max_flows = 0] refuses everything — the admission
     test's degenerate case.
@@ -175,10 +190,12 @@ val health : t -> health
 val manifest : t -> object_id:int -> Packet.Stripe.entry list
 (** The stripes of [object_id] this server durably holds, sorted by stripe
     index — exactly the records an [MREQ] datagram is answered with. A
-    stripe enters the manifest only when its flow settles [Success] with
-    the whole-segment CRC verified, so every entry re-reads correctly by
-    construction. Not thread-safe; call from the serving thread or after
-    {!run} returns. *)
+    stripe enters the manifest as soon as its flow completes [Success] with
+    the whole-segment CRC verified — lingering flows included — so every
+    entry re-reads correctly by construction. Entries carry the size and
+    CRC the REQ declared and verification matched
+    ({!Sockets.Flow.verified_stripe}); nothing is re-checksummed. Not
+    thread-safe; call from the serving thread or after {!run} returns. *)
 
 val manifest_size : t -> int
 (** Total manifest entries across all objects (snapshot field

@@ -210,7 +210,7 @@ let push_message t ~peer ?on_outcome message =
 type rx = {
   rx_socket : Unix.file_descr;
   rx_cap : int;
-  rx_bufs : Bytes.t array;
+  mutable rx_bufs : Bytes.t array;  (** the live slots; doubles up to [rx_cap] *)
   rx_meta : int array;
   rx_froms : Unix.sockaddr array;
   rx_forced_fallback : bool;
@@ -219,13 +219,17 @@ type rx = {
   mutable rx_count : int;
 }
 
+(* The ring starts at one max-size slot and is sized by demand: a sender
+   that only ever reads the odd ACK keeps 64 KiB, not [capacity] x 64 KiB.
+   Only the buffers grow; the metadata vectors are a few words per slot and
+   are sized for [capacity] up front. *)
 let create_rx ?(capacity = 32) ?force_fallback ~socket () =
   if capacity <= 0 then invalid_arg "Batch.create_rx: capacity must be positive";
   let capacity = min capacity stub_max in
   {
     rx_socket = socket;
     rx_cap = capacity;
-    rx_bufs = Array.init capacity (fun _ -> Udp.rx_buffer ());
+    rx_bufs = [| Udp.rx_buffer () |];
     rx_meta = Array.make (3 * capacity) 0;
     rx_froms = Array.make capacity (Unix.ADDR_UNIX "");
     rx_forced_fallback =
@@ -236,6 +240,7 @@ let create_rx ?(capacity = 32) ?force_fallback ~socket () =
   }
 
 let rx_capacity rx = rx.rx_cap
+let rx_slots rx = Array.length rx.rx_bufs
 let rx_syscalls rx = rx.rx_sys
 let rx_received rx = rx.rx_count
 
@@ -276,10 +281,8 @@ let recv_fallback rx ~want =
    with Exit -> ());
   !n
 
-let rec recv rx ~limit =
-  let want = min limit rx.rx_cap in
-  if want <= 0 then 0
-  else if rx.rx_forced_fallback || not (kernel_support ()) then begin
+let rec drain rx ~want =
+  if rx.rx_forced_fallback || not (kernel_support ()) then begin
     let n = recv_fallback rx ~want in
     rx.rx_count <- rx.rx_count + n;
     n
@@ -299,10 +302,10 @@ let rec recv rx ~limit =
     else if r = -3 then
       (* Consumed a pending ICMP port-unreachable (a sender that already
          closed); no datagram was taken, so drain again. *)
-      recv rx ~limit
+      drain rx ~want
     else if r = -2 then begin
       runtime_enosys := true;
-      recv rx ~limit
+      drain rx ~want
     end
     else begin
       (* Genuine error: surface it exactly as the unbatched loop would, by
@@ -316,6 +319,28 @@ let rec recv rx ~limit =
       rx.rx_count <- rx.rx_count + 1;
       1
     end
+  end
+
+(* A drain that filled every slot found a backlog at least that deep:
+   double the ring, up to its capacity, for the next one. The old slots
+   carry over at their indices, so the views of the drain being served
+   stay valid. *)
+let grow_if_full rx n =
+  let slots = Array.length rx.rx_bufs in
+  if n >= slots && slots < rx.rx_cap then begin
+    let old = rx.rx_bufs in
+    rx.rx_bufs <-
+      Array.init (min rx.rx_cap (2 * slots)) (fun i ->
+          if i < slots then old.(i) else Udp.rx_buffer ())
+  end
+
+let recv rx ~limit =
+  let want = min limit (Array.length rx.rx_bufs) in
+  if want <= 0 then 0
+  else begin
+    let n = drain rx ~want in
+    grow_if_full rx n;
+    n
   end
 
 let get rx i = (rx.rx_bufs.(i), rx.rx_meta.(3 * i), rx.rx_froms.(i))

@@ -100,19 +100,29 @@ val totals : t -> report
 type rx
 
 val create_rx : ?capacity:int -> ?force_fallback:bool -> socket:Unix.file_descr -> unit -> rx
-(** A drain ring of [capacity] (default 32, clamped to 256) buffers of
-    {!Udp.max_datagram_bytes} each, bound to [socket]. The socket should be
-    non-blocking (the fast path passes [MSG_DONTWAIT] regardless; the
-    fallback relies on the flag). *)
+(** A drain ring bound to [socket], sized by demand: it starts with one
+    {!Udp.max_datagram_bytes} buffer and doubles — up to [capacity]
+    (default 32, clamped to 256) — whenever a {!recv} fills every slot it
+    has. A socket that only ever holds the odd ACK therefore costs one
+    64 KiB buffer, while a server under a blast reaches full width within a
+    few drains. The socket should be non-blocking (the fast path passes
+    [MSG_DONTWAIT] regardless; the fallback relies on the flag). *)
 
 val rx_capacity : rx -> int
+(** The most slots the ring may grow to. *)
+
+val rx_slots : rx -> int
+(** Slots the ring has now: [1] at creation, never more than
+    {!rx_capacity}. *)
 
 val recv : rx -> limit:int -> int
-(** Drain up to [min limit capacity] datagrams in one [recvmmsg] (or up to
-    that many [Unix.recvfrom] calls on the fallback). Returns how many
-    arrived — [0] when nothing is ready — and never blocks. Pending ICMP
-    errors ([ECONNREFUSED] from a peer that closed) are consumed and the
-    drain retried, mirroring the unbatched loop. *)
+(** Drain up to [min limit (rx_slots rx)] datagrams in one [recvmmsg] (or
+    up to that many [Unix.recvfrom] calls on the fallback). Returns how many
+    arrived — [0] when nothing is ready — and never blocks. When the count
+    equals the slots the ring had, the ring doubles (up to its capacity)
+    for the next drain; slots already filled keep their buffers. Pending
+    ICMP errors ([ECONNREFUSED] from a peer that closed) are consumed and
+    the drain retried, mirroring the unbatched loop. *)
 
 val get : rx -> int -> bytes * int * Unix.sockaddr
 (** [get rx i] is slot [i] of the last {!recv}: the buffer (valid until the

@@ -14,6 +14,8 @@ type completion = {
   outcome : Protocol.Action.outcome;
 }
 
+(* The completion a settled state carries holds the reassembled bytes only
+   until [take_completion] hands them over; from then on it carries [""]. *)
 type state =
   | Running
   | Lingering of completion  (** transfer done; re-acking duplicates until the deadline *)
@@ -27,7 +29,7 @@ type t = {
   counters : Protocol.Counters.t;
   probe : Obs.Probe.t;
   handshake_ack : Packet.Message.t;
-  buffer : Bytes.t;
+  mutable buffer : Bytes.t;  (** reassembly; [Bytes.empty] once settled *)
   packet_bytes : int;
   total_bytes : int;
   data_crc : int32 option;
@@ -38,6 +40,7 @@ type t = {
   mutable idle_deadline : int;  (** watchdog: abort when the sender goes silent *)
   mutable linger_deadline : int;  (** meaningful only in [Lingering] *)
   mutable state : state;
+  mutable handed_over : bool;  (** {!take_completion} has returned the completion *)
 }
 
 let count_garbage ~probe (counters : Protocol.Counters.t) reason =
@@ -59,8 +62,28 @@ let stripe t = t.stripe
 let total_packets t =
   (t.total_bytes + t.packet_bytes - 1) / t.packet_bytes
 
-let completed t =
-  match t.state with Lingering c | Closed c -> Some c | Running -> None
+let verified_stripe t =
+  match (t.state, t.stripe, t.data_crc) with
+  | ( ( Lingering { outcome = Protocol.Action.Success; integrity = Verified; _ }
+      | Closed { outcome = Protocol.Action.Success; integrity = Verified; _ } ),
+      Some stripe,
+      Some crc ) ->
+      Some { Packet.Stripe.stripe; bytes = t.total_bytes; crc }
+  | _ -> None
+
+let take_completion t =
+  if t.handed_over then None
+  else
+    match t.state with
+    | Running -> None
+    | Lingering c ->
+        t.handed_over <- true;
+        t.state <- Lingering { c with data = "" };
+        Some c
+    | Closed c ->
+        t.handed_over <- true;
+        t.state <- Closed { c with data = "" };
+        Some c
 
 let status t =
   match t.state with
@@ -117,11 +140,15 @@ let execute t ~now action acc =
 let run_actions t ~now actions =
   List.rev (List.fold_left (fun acc a -> execute t ~now a acc) [] actions)
 
+(* The machine has settled, so nothing writes to the reassembly buffer again
+   (a lingering flow only answers duplicates): it becomes the completion's
+   [data] without a copy, and the flow drops its own reference. *)
 let completion_of_machine t =
   let outcome =
     Option.value (t.machine.Protocol.Machine.outcome ()) ~default:Protocol.Action.Success
   in
-  let data = Bytes.to_string t.buffer in
+  let data = Bytes.unsafe_to_string t.buffer in
+  t.buffer <- Bytes.empty;
   let integrity =
     match (outcome, t.data_crc) with
     | Protocol.Action.Success, Some expected ->
@@ -156,6 +183,7 @@ let on_machine_settled t ~now =
   | _ -> close t completion
 
 let abort t ~outcome =
+  t.buffer <- Bytes.empty;
   let completion =
     { data = ""; transfer_id = t.transfer_id; counters = t.counters; integrity = Not_carried;
       outcome }
@@ -238,6 +266,7 @@ let create ?fallback_suite ?(tuning = Protocol.Tuning.wire_default) ?budget
               idle_deadline = now + idle_timeout_ns;
               linger_deadline = 0;
               state = Running;
+              handed_over = false;
             }
           in
           Obs.Probe.rx probe req;

@@ -27,7 +27,10 @@ type action =
 type integrity = Verified | Mismatch | Not_carried
 
 type completion = {
-  data : string;  (** the reassembled transfer; [""] unless [Success] *)
+  data : string;
+      (** the reassembled transfer; [""] unless [Success], and [""] in every
+          completion the flow reports after {!take_completion} handed the
+          bytes over *)
   transfer_id : int;
   counters : Protocol.Counters.t;
   integrity : integrity;
@@ -77,12 +80,23 @@ val counters : t -> Protocol.Counters.t
 val probe : t -> Obs.Probe.t
 val status : t -> status
 
-val completed : t -> completion option
-(** The completion as soon as the machine has settled it, including during
-    the linger grace period — when a flow is [`Lingering] its bytes are
-    final even though {!status} has not reached [`Done]. [None] while
-    still running. Lets a manifest query count a stripe the moment its
-    last packet lands rather than a linger later. *)
+val take_completion : t -> completion option
+(** The hand-over: [Some c] exactly once, on the first call after the flow
+    settles — for a success the moment the machine completes and the
+    whole-segment CRC has been checked, so while the flow is still
+    [`Lingering]; otherwise when it closes — and [None] before and ever
+    after. [c.data] is the reassembly buffer itself, not a copy, and the
+    flow keeps no reference to it: from then on the flow's own completion
+    (in {!status} [`Done], or from {!force_done}) carries [""]. A driver
+    that never takes the completion gets the bytes in [`Done], at the
+    price of holding them through the linger. *)
+
+val verified_stripe : t -> Packet.Stripe.entry option
+(** The manifest entry this flow makes durable: [Some] once it has settled
+    [Success] with the whole-segment CRC [Verified] (including during the
+    linger) and its REQ carried ring framing. The entry is built from the
+    size and CRC the REQ declared — which verification matched — so it
+    needs no payload and no second CRC pass. *)
 
 val total_bytes : t -> int
 (** Transfer size the handshake REQ declared. *)

@@ -9,7 +9,11 @@ type t = {
   wake : (unit -> unit) option;
 }
 
-let udp ?batch ?(rx_capacity = 64) ?poller ~socket () =
+(* Widest [recvmmsg] drain: the engine's default drain budget. The ring
+   only reaches it under a backlog that deep (see {!Batch.create_rx}). *)
+let rx_ring_capacity = 64
+
+let udp ?batch ?poller ~socket () =
   let batch = match batch with Some b -> b | None -> Batch.env_enabled () in
   (* A blast sender can land dozens of datagrams between two wake-ups;
      headroom in the kernel buffer is what keeps that from becoming loss.
@@ -18,8 +22,12 @@ let udp ?batch ?(rx_capacity = 64) ?poller ~socket () =
    with Unix.Unix_error _ -> ());
   Unix.set_nonblock socket;
   let tx = if batch then Some (Batch.create ~socket ()) else None in
-  let rx = if batch then Some (Batch.create_rx ~capacity:rx_capacity ~socket ()) else None in
-  let buffer = Udp.rx_buffer () in
+  let rx =
+    if batch then Some (Batch.create_rx ~capacity:rx_ring_capacity ~socket ()) else None
+  in
+  (* Only the unbatched [poll_socket] reads into this buffer; a batching
+     transport receives into its ring. *)
+  let buffer = match rx with None -> Udp.rx_buffer () | Some _ -> Bytes.empty in
   let send ~peer ~on_outcome data =
     match tx with
     | Some b -> Batch.push b ~peer ~on_outcome data

@@ -44,7 +44,6 @@ type t = {
 
 val udp :
   ?batch:bool ->
-  ?rx_capacity:int ->
   ?poller:Poller.t ->
   socket:Unix.file_descr ->
   unit ->
@@ -53,10 +52,13 @@ val udp :
     [SO_RCVBUF] best-effort (the multiplexed server's headroom against blast
     bursts). With [batch] (default {!Batch.env_enabled}) sends queue into a
     {!Batch} train flushed by [flush], and [poll] drains through a
-    [recvmmsg] ring of [rx_capacity] slots (default 64, clamped to the stub
-    maximum); otherwise every operation is one syscall. Transient receive
-    errors are absorbed: a pending ICMP port-unreachable is consumed and the
-    wait continues.
+    demand-sized [recvmmsg] ring ({!Batch.create_rx}): one 64 KiB slot at
+    first, doubling up to 64 only while drains keep filling it — so a
+    sender that reads a handful of ACKs never pays for a server-sized ring.
+    Otherwise every operation is one syscall, through one receive buffer
+    that only this unbatched path allocates. Transient receive errors are
+    absorbed: a pending ICMP port-unreachable is consumed and the wait
+    continues.
 
     With [poller] the socket is registered on it for edge-triggered
     readiness, the blocking wait runs through {!Poller.wait} instead of

@@ -168,6 +168,119 @@ let test_env_knob () =
           Alcotest.(check int) "all delivered" 10
             (List.length (drain_payloads rx rx_socket ~expected:10))))
 
+(* The receive ring is sized by demand: one slot at creation, doubling only
+   after a drain that filled every slot it had, never past its capacity —
+   and the slots of the drain that triggered the growth keep their
+   datagrams. Loopback has queued a datagram by the time a short wait
+   returns, so each drain's count is exact. *)
+let check_rx_ring_growth ~force_fallback () =
+  let tx_socket, rx_socket, address = make_pair () in
+  Fun.protect
+    ~finally:(fun () -> close_pair tx_socket rx_socket)
+    (fun () ->
+      (* Not a power of two, so the last doubling has to be clamped. *)
+      let capacity = 6 in
+      let rx = Sockets.Batch.create_rx ~capacity ~force_fallback ~socket:rx_socket () in
+      let next = ref 0 in
+      let queue k =
+        for _ = 1 to k do
+          ignore
+            (Sockets.Udp.send_bytes tx_socket address (payload_of !next)
+              : Sockets.Udp.send_outcome);
+          incr next
+        done;
+        ignore (Unix.select [ rx_socket ] [] [] 1.0);
+        Unix.sleepf 0.01
+      in
+      let received = ref 0 in
+      let drain ?(limit = capacity) label ~expect ~slots =
+        let n = Sockets.Batch.recv rx ~limit in
+        Alcotest.(check int) (label ^ ": drained") expect n;
+        for i = 0 to n - 1 do
+          let buf, len, _ = Sockets.Batch.get rx i in
+          Alcotest.(check string)
+            (label ^ ": slot keeps its datagram")
+            (Bytes.to_string (payload_of (!received + i)))
+            (Bytes.sub_string buf 0 len)
+        done;
+        received := !received + n;
+        Alcotest.(check int) (label ^ ": slots after") slots (Sockets.Batch.rx_slots rx)
+      in
+      Alcotest.(check int) "capacity" capacity (Sockets.Batch.rx_capacity rx);
+      Alcotest.(check int) "one slot at creation" 1 (Sockets.Batch.rx_slots rx);
+      drain "nothing ready" ~expect:0 ~slots:1;
+      queue 1;
+      drain "one datagram fills the one slot" ~expect:1 ~slots:2;
+      queue 1;
+      drain "half-full drain" ~expect:1 ~slots:2;
+      queue 3;
+      drain ~limit:1 "limit below the slots" ~expect:1 ~slots:2;
+      drain "full drain" ~expect:2 ~slots:4;
+      queue 20;
+      drain "full again, clamped to capacity" ~expect:4 ~slots:6;
+      drain "full at capacity" ~expect:6 ~slots:6;
+      drain "full at capacity, again" ~expect:6 ~slots:6;
+      drain "rest of the backlog" ~expect:4 ~slots:6;
+      drain "backlog gone" ~expect:0 ~slots:6;
+      Alcotest.(check int) "every datagram drained" !next !received)
+
+let test_rx_ring_growth_fast () = check_rx_ring_growth ~force_fallback:false ()
+let test_rx_ring_growth_fallback () = check_rx_ring_growth ~force_fallback:true ()
+
+let with_batch_env value f =
+  let original = Sys.getenv_opt "LANREPRO_BATCH" in
+  Unix.putenv "LANREPRO_BATCH" value;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "LANREPRO_BATCH" (match original with Some v -> v | None -> ""))
+    f
+
+(* What one 64 KiB [Peer.send] allocates on the sending domain, against a
+   batching engine serving from its own domain ([Gc.allocated_bytes] counts
+   per domain, so the engine's share stays out). A sender reads a few ACKs:
+   a server-sized ring (64 slots x 64 KiB) per send would be 4 MiB of
+   garbage per transfer, so the demand-sized ring must keep the whole send
+   under 1 MiB, on the recvmmsg path and the forced fallback alike. The
+   first send is a warm-up: one-off costs are not per-send. *)
+let check_send_allocation ~force_fallback () =
+  with_batch_env (if force_fallback then "fallback" else "1") (fun () ->
+      let server_socket, server_address = Sockets.Udp.create_socket () in
+      let poller = Sockets.Poller.create () in
+      let transport =
+        Sockets.Transport.udp ~batch:true ~poller ~socket:server_socket ()
+      in
+      let engine = Server.Engine.create ~max_flows:16 ~transport () in
+      let server = Domain.spawn (fun () -> Server.Engine.run engine) in
+      let sender_socket, _ = Sockets.Udp.create_socket () in
+      let data = String.init (64 * 1024) (fun i -> Char.chr ((i * 131) land 0xFF)) in
+      let ctx = Sockets.Io_ctx.make ~batch:true () in
+      let send transfer_id =
+        Sockets.Peer.send ~ctx ~transfer_id ~socket:sender_socket ~peer:server_address
+          ~suite:(Protocol.Suite.Blast Protocol.Blast.Go_back_n) ~data ()
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Server.Engine.stop engine;
+          Domain.join server;
+          Sockets.Poller.close poller;
+          Sockets.Udp.close server_socket;
+          Sockets.Udp.close sender_socket)
+        (fun () ->
+          let warm = send 1 in
+          Alcotest.(check bool) "warm-up send succeeds" true
+            (warm.Sockets.Peer.outcome = Protocol.Action.Success);
+          let before = Gc.allocated_bytes () in
+          let result = send 2 in
+          let allocated = Gc.allocated_bytes () -. before in
+          Alcotest.(check bool) "measured send succeeds" true
+            (result.Sockets.Peer.outcome = Protocol.Action.Success);
+          if allocated >= 1024. *. 1024. then
+            Alcotest.failf "one 64 KiB send allocated %.0f KiB (limit 1024 KiB)"
+              (allocated /. 1024.)))
+
+let test_send_allocation_fast () = check_send_allocation ~force_fallback:false ()
+let test_send_allocation_fallback () = check_send_allocation ~force_fallback:true ()
+
 (* Fault injection happens upstream of the batch, per datagram, so the same
    seeded netem drops the same datagrams whether the survivors then go out
    through sendmmsg trains or one sendto at a time. *)
@@ -305,6 +418,20 @@ let () =
         [
           Alcotest.test_case "fast path" `Quick test_partial_send_fast;
           Alcotest.test_case "forced fallback" `Quick test_partial_send_fallback;
+        ] );
+      ( "rx-ring",
+        [
+          Alcotest.test_case "grows on full drains, fast path" `Quick
+            test_rx_ring_growth_fast;
+          Alcotest.test_case "grows on full drains, forced fallback" `Quick
+            test_rx_ring_growth_fallback;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "64 KiB send under 1 MiB, recvmmsg" `Quick
+            test_send_allocation_fast;
+          Alcotest.test_case "64 KiB send under 1 MiB, forced fallback" `Quick
+            test_send_allocation_fallback;
         ] );
       ("env-knob", [ Alcotest.test_case "LANREPRO_BATCH" `Quick test_env_knob ]);
       ("netem", [ Alcotest.test_case "drop parity over batch" `Quick test_netem_drop_parity ]);

@@ -155,6 +155,137 @@ let test_engine_supersede_on_address_reuse () =
     "engine invariants hold after shutdown" []
     (Server.Engine.invariant_violations engine)
 
+(* The hand-over: [on_complete] fires once per admitted flow — for a
+   verified success at verification, carrying the bytes, while the flow
+   itself lingers holding none — and a lingering flow settled by supersede
+   or shutdown does not fire again. Totals move at linger end, and the
+   manifest counts a lingering stripe from the REQ's declared size and CRC.
+   Real senders over memnet, so every instant is exact virtual time. *)
+let test_engine_hands_over_at_verification () =
+  let sim = Sim.create () in
+  let net = Net.create ~sim ~seed:5 () in
+  let server_ep = Net.bind ~port:7_000 net in
+  let clock () = Time.to_ns (Sim.now sim) in
+  let retransmit_ns = 5_000_000 in
+  let linger_ns = 3 * retransmit_ns in
+  let tuning = Protocol.Tuning.fixed ~retransmit_ns ~max_attempts:3 () in
+  let events = ref [] in
+  let engine =
+    Server.Engine.create ~max_flows:4
+      ~ctx:(Sockets.Io_ctx.make ~clock ~tuning ())
+      ~on_complete:(fun e -> events := e :: !events)
+      ~transport:(Net.transport server_ep) ()
+  in
+  let fired ~port ~id =
+    List.filter
+      (fun (e : Server.Engine.completion_event) ->
+        e.Server.Engine.peer = Unix.ADDR_INET (Unix.inet_addr_loopback, port)
+        && e.Server.Engine.completion.Sockets.Flow.transfer_id = id)
+      (List.rev !events)
+  in
+  let payload seed = String.init 4_096 (fun i -> Char.chr ((i * seed) land 0xFF)) in
+  let send ?stripe ~port ~id data =
+    let ep = Net.bind ~port net in
+    let result =
+      Sockets.Peer.send_via
+        ~ctx:(Sockets.Io_ctx.make ~clock ~tuning ())
+        ~transfer_id:id ~packet_bytes:512 ?stripe ~transport:(Net.transport ep)
+        ~peer:(Net.address server_ep)
+        ~suite:(Protocol.Suite.Blast Protocol.Blast.Go_back_n) ~data ()
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "transfer %d succeeds" id)
+      true
+      (result.Sockets.Peer.outcome = Protocol.Action.Success);
+    ep
+  in
+  let verified_once label ~port ~id data =
+    match fired ~port ~id with
+    | [ e ] ->
+        let c = e.Server.Engine.completion in
+        Alcotest.(check bool) (label ^ ": verified success") true
+          (c.Sockets.Flow.outcome = Protocol.Action.Success
+          && c.Sockets.Flow.integrity = Sockets.Flow.Verified);
+        Alcotest.(check bool) (label ^ ": carries the bytes") true
+          (String.equal data c.Sockets.Flow.data);
+        e
+    | l -> Alcotest.failf "%s: on_complete fired %d times" label (List.length l)
+  in
+  let check_verified_once label ~port ~id data =
+    ignore (verified_once label ~port ~id data : Server.Engine.completion_event)
+  in
+  let totals () = Server.Engine.totals engine in
+  let env = Proc.env sim in
+  Proc.spawn env (fun () -> Server.Engine.run engine);
+  Proc.spawn env (fun () ->
+      (* A: a striped success, followed through its linger. *)
+      let data_a = payload 7 in
+      let stripe = { Packet.Stripe.object_id = 1; index = 0; count = 2 } in
+      ignore (send ~stripe ~port:6_001 ~id:1 data_a : Net.endpoint);
+      let a = verified_once "lingering A" ~port:6_001 ~id:1 data_a in
+      Alcotest.(check bool) "A fired no later than the sender finished" true
+        (a.Server.Engine.finished_ns <= clock ());
+      Alcotest.(check int) "A still lingers" 1 (Server.Engine.active_flows engine);
+      Alcotest.(check int) "A not yet counted completed" 0
+        (totals ()).Server.Engine.completed;
+      let expected_entry =
+        { Packet.Stripe.stripe; bytes = 4_096; crc = Packet.Checksum.crc32_string data_a }
+      in
+      let same_entries l =
+        List.length l = 1
+        && List.for_all2
+             (fun (x : Packet.Stripe.entry) (y : Packet.Stripe.entry) ->
+               Packet.Stripe.equal x.Packet.Stripe.stripe y.Packet.Stripe.stripe
+               && x.Packet.Stripe.bytes = y.Packet.Stripe.bytes
+               && x.Packet.Stripe.crc = y.Packet.Stripe.crc)
+             l [ expected_entry ]
+      in
+      Alcotest.(check bool) "manifest counts the lingering stripe" true
+        (same_entries (Server.Engine.manifest engine ~object_id:1));
+      Proc.sleep (Time.span_ns (linger_ns + 1_000_000));
+      Alcotest.(check int) "A counted at linger end" 1 (totals ()).Server.Engine.completed;
+      Alcotest.(check int) "A left the table" 0 (Server.Engine.active_flows engine);
+      Alcotest.(check bool) "linger ended after the hand-over" true
+        (clock () - a.Server.Engine.finished_ns >= linger_ns);
+      check_verified_once "settled A" ~port:6_001 ~id:1 data_a;
+      Alcotest.(check bool) "manifest keeps the settled stripe" true
+        (same_entries (Server.Engine.manifest engine ~object_id:1));
+      (* B: superseded mid-linger by a REQ with new geometry. *)
+      let data_b = payload 11 in
+      let ep_b = send ~port:6_002 ~id:2 data_b in
+      check_verified_once "lingering B" ~port:6_002 ~id:2 data_b;
+      (Net.transport ep_b).Sockets.Transport.send ~peer:(Net.address server_ep)
+        ~on_outcome:ignore
+        (Packet.Codec.encode
+           (req_message ~transfer_id:2 ~packet_bytes:512 ~total_bytes:8_192 ~data_crc:3l));
+      Proc.sleep (Time.span_ns 1_000_000);
+      Alcotest.(check int) "B superseded" 1 (totals ()).Server.Engine.superseded;
+      Alcotest.(check int) "superseding B fires nothing new" 1
+        (List.length (fired ~port:6_002 ~id:2));
+      (* C: force-settled at shutdown while lingering. *)
+      let data_c = payload 13 in
+      ignore (send ~port:6_003 ~id:3 data_c : Net.endpoint);
+      check_verified_once "lingering C" ~port:6_003 ~id:3 data_c;
+      Server.Engine.stop engine);
+  Sim.run ~until:(Time.of_ns 1_000_000_000) sim;
+  let t = totals () in
+  Alcotest.(check int) "four flows admitted" 4 t.Server.Engine.accepted;
+  Alcotest.(check int) "on_complete once per admitted flow" t.Server.Engine.accepted
+    (List.length !events);
+  Alcotest.(check int) "A, B and C completed" 3 t.Server.Engine.completed;
+  Alcotest.(check int) "B's successor force-settled" 1 t.Server.Engine.aborted;
+  check_verified_once "shut-down C" ~port:6_003 ~id:3 (payload 13);
+  (match fired ~port:6_002 ~id:2 with
+  | [ first; second ] ->
+      Alcotest.(check bool) "B's successor fired once, without data" true
+        (second.Server.Engine.completion.Sockets.Flow.outcome <> Protocol.Action.Success
+        && second.Server.Engine.completion.Sockets.Flow.data = ""
+        && first.Server.Engine.completion.Sockets.Flow.outcome = Protocol.Action.Success)
+  | l -> Alcotest.failf "address (6002, 2) fired %d times, expected 2" (List.length l));
+  Alcotest.(check (list string))
+    "engine invariants hold after shutdown" []
+    (Server.Engine.invariant_violations engine)
+
 (* ------------------------------------------------------------ whole system *)
 
 let config ~seed ~churn ~faults ~senders ~transfers =
@@ -276,6 +407,8 @@ let () =
         [
           Alcotest.test_case "supersede on address reuse" `Quick
             test_engine_supersede_on_address_reuse;
+          Alcotest.test_case "hands the payload over at verification" `Quick
+            test_engine_hands_over_at_verification;
         ] );
       ( "whole-system",
         [

@@ -27,6 +27,53 @@ let test_crc32_range () =
   let buf = Bytes.of_string "xx123456789yy" in
   Alcotest.(check int32) "subrange" 0xCBF43926l (Packet.Checksum.crc32 buf ~pos:2 ~len:9)
 
+(* A byte-at-a-time table loop: the reference the slicing-by-8 kernel must
+   agree with bit for bit. *)
+let reference_crc_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+      done;
+      !c)
+
+let reference_crc32 buf ~pos ~len =
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    let index = (!crc lxor Char.code (Bytes.get buf i)) land 0xFF in
+    crc := reference_crc_table.(index) lxor (!crc lsr 8)
+  done;
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
+
+(* Random bytes, an unaligned window start, and lengths from 0 to 3000 —
+   half of them under 24 so the kernel's sub-8-byte tail and its
+   one-word bodies are hit as often as the long runs. *)
+let prop_crc32_matches_reference =
+  let gen =
+    let open QCheck.Gen in
+    let* len = oneof [ int_range 0 23; int_range 0 3000 ] in
+    let* pos = int_range 0 15 in
+    let* slack = int_range 0 15 in
+    let* bytes = string_size (return (pos + len + slack)) in
+    return (Bytes.of_string bytes, pos, len)
+  in
+  QCheck.Test.make ~name:"crc32 kernel matches the byte-at-a-time reference" ~count:1000
+    (QCheck.make
+       ~print:(fun (b, pos, len) -> Printf.sprintf "buf %d bytes, pos %d, len %d" (Bytes.length b) pos len)
+       gen)
+    (fun (buf, pos, len) ->
+      Packet.Checksum.crc32 buf ~pos ~len = reference_crc32 buf ~pos ~len)
+
+let test_crc32_rejects_bad_range () =
+  let buf = Bytes.make 16 'x' in
+  List.iter
+    (fun (pos, len) ->
+      match Packet.Checksum.crc32 buf ~pos ~len with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "crc32 accepted pos %d len %d over 16 bytes" pos len)
+    [ (-1, 4); (0, -1); (0, 17); (10, 7); (17, 0); (max_int, 1); (1, max_int) ];
+  Alcotest.(check int32) "empty window at the end" 0l (Packet.Checksum.crc32 buf ~pos:16 ~len:0)
+
 (* --------------------------------------------------------------- Bitset *)
 
 let test_bitset_basics () =
@@ -286,6 +333,153 @@ let prop_codec_bitflip_detected =
              *different* accepted message. *)
           Packet.Message.equal m m')
 
+(* A copying decoder — the window copied out, the checksum field zeroed in
+   the copy and summed there — as the reference the in-place decoder must
+   match verdict for verdict. *)
+let reference_decode_sub buf ~pos ~len =
+  let open Packet.Codec in
+  let u32 view p = Int32.to_int (Bytes.get_int32_be view p) land 0xFFFFFFFF in
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then Error Too_short
+  else if len < header_bytes then Error Too_short
+  else begin
+    let view = Bytes.sub buf pos len in
+    if Bytes.get_uint16_be view 0 <> 0xB1A5 then Error Bad_magic
+    else begin
+      let v = Bytes.get_uint8 view 2 in
+      if v <> 1 && v <> 2 then Error (Bad_version v)
+      else begin
+        let header = if v = 1 then header_bytes else header_bytes_v2 in
+        if len < header then Error Too_short
+        else begin
+          let declared = Bytes.get_uint16_be view 16 in
+          let actual = len - header in
+          if declared <> actual then Error (Length_mismatch { declared; actual })
+          else begin
+            let stored_sum = Bytes.get_uint16_be view 18 in
+            Bytes.set_uint16_be view 18 0;
+            if stored_sum <> Packet.Checksum.internet view ~pos:0 ~len:header then
+              Error Bad_header_checksum
+            else
+              match Packet.Kind.of_byte (Bytes.get_uint8 view 3) with
+              | None -> Error (Bad_kind (Bytes.get_uint8 view 3))
+              | Some kind ->
+                  if
+                    Bytes.get_int32_be view 20
+                    <> Packet.Checksum.crc32 view ~pos:header ~len:actual
+                  then Error Bad_payload_checksum
+                  else
+                    Ok
+                      {
+                        Packet.Message.kind;
+                        transfer_id = u32 view 4;
+                        seq = u32 view 8;
+                        total = u32 view 12;
+                        payload = Bytes.sub_string view header actual;
+                        budget = (if v = 1 then None else Some (u32 view 24));
+                      }
+          end
+        end
+      end
+    end
+  end
+
+(* How a fuzz case damages an encoding before it is decoded. *)
+type mangle =
+  | Intact
+  | Header_flip of int * int  (** byte, bit — inside the header *)
+  | Header_refixed of int * int  (** header flip with the checksum re-fixed *)
+  | Payload_flip of int * int
+  | Truncated of int  (** bytes cut from the end *)
+  | Window_off of int * int  (** pos and len shifted off the datagram *)
+
+let gen_decode_case =
+  let open QCheck.Gen in
+  let* m = gen_message_v2 in
+  let* mangle =
+    oneof
+      [
+        return Intact;
+        map2 (fun b i -> Header_flip (b, i)) (int_range 0 27) (int_range 0 7);
+        map2 (fun b i -> Header_refixed (b, i)) (int_range 0 27) (int_range 0 7);
+        map2 (fun b i -> Payload_flip (b, i)) nat (int_range 0 7);
+        map (fun n -> Truncated n) (int_range 1 40);
+        map2 (fun a b -> Window_off (a, b)) (int_range (-3) 3) (int_range (-3) 3);
+      ]
+  in
+  let* before = int_range 0 24 in
+  let* after = int_range 0 24 in
+  let* fill = char in
+  return (m, mangle, before, after, fill)
+
+let flip buf p bit = Bytes.set buf p (Char.chr (Char.code (Bytes.get buf p) lxor (1 lsl bit)))
+
+(* Builds the mangled datagram inside a larger buffer — padding on both
+   sides, as a receive ring presents it — and returns it with the window. *)
+let lay_out (m, mangle, before, after, fill) =
+  let encoded = Packet.Codec.encode m in
+  let n = Bytes.length encoded in
+  let header =
+    if Packet.Message.budget m = None then Packet.Codec.header_bytes
+    else Packet.Codec.header_bytes_v2
+  in
+  let len = ref n and shift = ref 0 in
+  (match mangle with
+  | Intact -> ()
+  | Header_flip (b, bit) -> flip encoded (b mod header) bit
+  | Header_refixed (b, bit) ->
+      let b = b mod header in
+      if b <> 18 && b <> 19 then begin
+        flip encoded b bit;
+        Bytes.set_uint16_be encoded 18 0;
+        Bytes.set_uint16_be encoded 18 (Packet.Checksum.internet encoded ~pos:0 ~len:header)
+      end
+  | Payload_flip (b, bit) -> if n > header then flip encoded (header + (b mod (n - header))) bit
+  | Truncated k -> len := max 0 (n - k)
+  | Window_off (dp, dl) ->
+      shift := dp;
+      len := n + dl);
+  let buf = Bytes.cat (Bytes.make before fill) (Bytes.cat encoded (Bytes.make after fill)) in
+  (buf, before + !shift, !len)
+
+let prop_decode_in_place_matches_reference =
+  QCheck.Test.make ~name:"in-place decode_sub matches the copying reference" ~count:3000
+    (QCheck.make gen_decode_case) (fun case ->
+      let buf, pos, len = lay_out case in
+      let untouched = Bytes.copy buf in
+      let got = Packet.Codec.decode_sub buf ~pos ~len in
+      let expected = reference_decode_sub untouched ~pos ~len in
+      let same =
+        match (got, expected) with
+        | Ok a, Ok b -> Packet.Message.equal a b
+        | Error a, Error b -> a = b
+        | _ -> false
+      in
+      same && Bytes.equal buf untouched)
+
+(* Every fuzz family reaches the verdict it was built for, so the property
+   above is not passing on one branch alone. *)
+let test_decode_in_place_covers_every_verdict () =
+  let rng = Random.State.make [| 0xDEC0DE |] in
+  let seen = Hashtbl.create 8 in
+  for _ = 1 to 3000 do
+    let buf, pos, len = lay_out (gen_decode_case rng) in
+    let verdict =
+      match Packet.Codec.decode_sub buf ~pos ~len with
+      | Ok _ -> "ok"
+      | Error Packet.Codec.Too_short -> "too-short"
+      | Error Packet.Codec.Bad_magic -> "magic"
+      | Error (Packet.Codec.Bad_version _) -> "version"
+      | Error (Packet.Codec.Bad_kind _) -> "kind"
+      | Error Packet.Codec.Bad_header_checksum -> "header"
+      | Error Packet.Codec.Bad_payload_checksum -> "payload"
+      | Error (Packet.Codec.Length_mismatch _) -> "length"
+    in
+    Hashtbl.replace seen verdict ()
+  done;
+  List.iter
+    (fun v -> Alcotest.(check bool) ("reached " ^ v) true (Hashtbl.mem seen v))
+    [ "ok"; "too-short"; "magic"; "version"; "kind"; "header"; "payload"; "length" ]
+
 let test_codec_budget_wire_compat () =
   (* Budget-less messages stay on the v1 24-byte header: byte-for-byte what
      an old peer emits and expects. *)
@@ -367,7 +561,9 @@ let () =
           Alcotest.test_case "internet detects flip" `Quick test_internet_detects_flip;
           Alcotest.test_case "crc32 known vectors" `Quick test_crc32_known_vectors;
           Alcotest.test_case "crc32 range" `Quick test_crc32_range;
-        ] );
+          Alcotest.test_case "crc32 rejects bad range" `Quick test_crc32_rejects_bad_range;
+        ]
+        @ qcheck [ prop_crc32_matches_reference ] );
       ( "bitset",
         Alcotest.test_case "basics" `Quick test_bitset_basics
         :: Alcotest.test_case "missing" `Quick test_bitset_missing
@@ -384,7 +580,14 @@ let () =
         :: Alcotest.test_case "decode_sub" `Quick test_codec_decode_sub
         :: Alcotest.test_case "decode_sub fuzz" `Quick test_codec_decode_sub_fuzz
         :: Alcotest.test_case "budget wire compat" `Quick test_codec_budget_wire_compat
-        :: qcheck [ prop_codec_roundtrip; prop_codec_bitflip_detected ] );
+        :: Alcotest.test_case "in-place decode reaches every verdict" `Quick
+             test_decode_in_place_covers_every_verdict
+        :: qcheck
+             [
+               prop_codec_roundtrip;
+               prop_codec_bitflip_detected;
+               prop_decode_in_place_matches_reference;
+             ] );
       ( "message",
         [
           Alcotest.test_case "received set" `Quick test_message_received_set;
