@@ -474,21 +474,21 @@ let ring_stripe_rows () =
         List.map
           (fun stripes ->
             let fleet =
-              Ring.Fleet.create
+              Server.Group.create
                 ?scenario:(if clean then None else Some scenario)
-                ~seed:1 ~servers ()
+                ~seed:1 ~binding:Server.Group.Own_ports ~members:servers ()
             in
-            Ring.Fleet.start fleet;
+            Server.Group.start fleet;
             Fun.protect
               ~finally:(fun () ->
-                Ring.Fleet.stop fleet;
-                Ring.Fleet.join fleet)
+                Server.Group.stop fleet;
+                Server.Group.join fleet)
               (fun () ->
                 let put =
                   Ring.Client.put
           ~tuning:(Protocol.Tuning.fixed ~retransmit_ns:20_000_000 ~max_attempts:20 ())
-                    ~placement:(Ring.Fleet.placement ~seed:1 fleet)
-                    ~peer_of:(Ring.Fleet.peer_of fleet)
+                    ~placement:(Ring.Placement.create ~seed:1 (Server.Group.alive fleet))
+                    ~peer_of:(Server.Group.address fleet)
                     ~object_id:1 ~stripes ~replicas ~quorum ~data ()
                 in
                 if clean then Hashtbl.replace clean_ns stripes put.Ring.Client.elapsed_ns;

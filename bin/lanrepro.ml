@@ -138,8 +138,8 @@ let batch_flag =
           (Some false, info [ "no-batch" ] ~doc:"One syscall per datagram.");
         ])
 
-let make_ctx ?recorder ?metrics ?tuning batch =
-  Sockets.Io_ctx.make ?recorder ?metrics ?batch ?tuning ()
+let make_ctx ?faults ?recorder ?metrics ?tuning batch =
+  Sockets.Io_ctx.make ?faults ?recorder ?metrics ?batch ?tuning ()
 
 (* ---------------------------------------------------------------- tuning *)
 
@@ -542,8 +542,22 @@ let port = Arg.(value & opt int 47085 & info [ "port" ] ~doc:"UDP port.")
 let tx_loss =
   Arg.(value & opt float 0.0 & info [ "inject-loss" ] ~doc:"Probability of dropping each outgoing datagram (testing aid).")
 
+(* [--inject-loss p] as the endpoint's fault pipeline: an iid drop on every
+   outgoing datagram, journaled and counted like any other Netem fault. *)
+let loss_faults ~cmd ~seed loss =
+  if not (loss >= 0.0 && loss <= 1.0) then begin
+    Printf.eprintf "%s: --inject-loss must be in [0, 1]\n" cmd;
+    exit 2
+  end;
+  if loss = 0.0 then None
+  else
+    Some
+      (Faults.Netem.create ~seed
+         (Faults.Scenario.make ~name:"lossy" [ Faults.Scenario.Drop_iid loss ]))
+
 let send_cmd =
   let run protocol host port file size loss seed adaptive batch tuning trace_out metrics_out =
+    let faults = loss_faults ~cmd:"send" ~seed loss in
     let data =
       match file with
       | Some path ->
@@ -557,15 +571,11 @@ let send_cmd =
     in
     let socket = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
     let peer = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
-    let lossy =
-      if loss > 0.0 then Sockets.Lossy.create ~seed ~tx_loss:loss ~rx_loss:0.0
-      else Sockets.Lossy.perfect
-    in
     let rtt = if adaptive then Some (Protocol.Rtt.create ~initial_ns:50_000_000 ()) else None in
     let tuning = resolve_tuning ~default:Protocol.Tuning.wire_default tuning in
     let recorder, metrics, flush = telemetry trace_out metrics_out in
-    let ctx = make_ctx ?recorder ?metrics ~tuning batch in
-    let result = Sockets.Peer.send ~ctx ~lossy ?rtt ~socket ~peer ~suite:protocol ~data () in
+    let ctx = make_ctx ?faults ?recorder ?metrics ~tuning batch in
+    let result = Sockets.Peer.send ~ctx ?rtt ~socket ~peer ~suite:protocol ~data () in
     Unix.close socket;
     Printf.printf "%s: %d bytes in %.1f ms (%d packets, %d retransmitted)\n"
       (match result.Sockets.Peer.outcome with
@@ -593,17 +603,14 @@ let send_cmd =
 
 let recv_cmd =
   let run protocol port out loss seed tuning trace_out metrics_out =
+    let faults = loss_faults ~cmd:"recv" ~seed loss in
     let socket = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
     Unix.bind socket (Unix.ADDR_INET (Unix.inet_addr_of_string "0.0.0.0", port));
     Printf.printf "listening on UDP port %d...\n%!" port;
-    let lossy =
-      if loss > 0.0 then Sockets.Lossy.create ~seed ~tx_loss:loss ~rx_loss:0.0
-      else Sockets.Lossy.perfect
-    in
     let tuning = resolve_tuning ~default:Protocol.Tuning.wire_default tuning in
     let recorder, metrics, flush = telemetry trace_out metrics_out in
-    let ctx = make_ctx ?recorder ?metrics ~tuning None in
-    let result = Sockets.Peer.serve_one ~ctx ~lossy ~socket ~suite:protocol () in
+    let ctx = make_ctx ?faults ?recorder ?metrics ~tuning None in
+    let result = Sockets.Peer.serve_one ~ctx ~socket ~suite:protocol () in
     Unix.close socket;
     Printf.printf "received %d bytes (transfer %d)\n"
       (String.length result.Sockets.Peer.data)
@@ -631,16 +638,13 @@ let recv_cmd =
 
 let dump_cmd =
   let run protocol host port directory loss seed adaptive =
+    let ctx = make_ctx ?faults:(loss_faults ~cmd:"dump" ~seed loss) None in
     let data = Archive.encode (Archive.of_directory directory) in
     Printf.printf "archived %s: %d bytes\n%!" directory (String.length data);
     let socket = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
     let peer = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
-    let lossy =
-      if loss > 0.0 then Sockets.Lossy.create ~seed ~tx_loss:loss ~rx_loss:0.0
-      else Sockets.Lossy.perfect
-    in
     let rtt = if adaptive then Some (Protocol.Rtt.create ~initial_ns:50_000_000 ()) else None in
-    let result = Sockets.Peer.send ~lossy ?rtt ~socket ~peer ~suite:protocol ~data () in
+    let result = Sockets.Peer.send ~ctx ?rtt ~socket ~peer ~suite:protocol ~data () in
     Unix.close socket;
     Printf.printf "%s in %.1f ms (%d packets, %d retransmitted)\n"
       (match result.Sockets.Peer.outcome with
@@ -669,14 +673,11 @@ let dump_cmd =
 
 let restore_cmd =
   let run port root loss seed =
+    let ctx = make_ctx ?faults:(loss_faults ~cmd:"restore" ~seed loss) None in
     let socket = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
     Unix.bind socket (Unix.ADDR_INET (Unix.inet_addr_of_string "0.0.0.0", port));
     Printf.printf "waiting for a dump on UDP port %d...\n%!" port;
-    let lossy =
-      if loss > 0.0 then Sockets.Lossy.create ~seed ~tx_loss:loss ~rx_loss:0.0
-      else Sockets.Lossy.perfect
-    in
-    let result = Sockets.Peer.serve_one ~lossy ~socket () in
+    let result = Sockets.Peer.serve_one ~ctx ~socket () in
     Unix.close socket;
     (match result.Sockets.Peer.integrity with
     | Sockets.Peer.Verified -> print_endline "end-to-end checksum: verified"
@@ -857,8 +858,9 @@ let admin_port =
     & opt (some int) None
     & info [ "admin-port" ] ~docv:"PORT"
         ~doc:
-          "Bind a stat socket on 127.0.0.1:$(docv), answered from the serving loop's \
-           idle point — query it live with $(b,lanrepro stat) or $(b,lanrepro top).")
+          "Bind a stat socket on 127.0.0.1:$(docv), answered by the server group's \
+           own thread with the merged snapshot — query it live with $(b,lanrepro \
+           stat) or $(b,lanrepro top).")
 
 let stats_interval =
   Arg.(
@@ -885,8 +887,8 @@ let shards_arg =
           "Server shard count: $(docv) engines, each on its own domain with its own \
            SO_REUSEPORT socket on the shared port; the kernel's 4-tuple hash spreads \
            flows across them and observability (stat socket, totals, counters, \
-           loop-health histograms) is merged across the fleet. 1 (default) keeps the \
-           classic single engine.")
+           loop-health histograms) is merged across the group. 1 (default) is a lone \
+           engine, without SO_REUSEPORT.")
 
 (* The periodic-snapshot sink: a JSONL writer plus its close hook. *)
 let stats_writer stats_interval stats_out =
@@ -922,6 +924,11 @@ let serve_cmd =
       Printf.eprintf "serve: --shards must be positive\n";
       exit 2
     end;
+    (match max_transfers with
+    | Some n when n <= 0 ->
+        Printf.eprintf "serve: --max-transfers must be positive\n";
+        exit 2
+    | _ -> ());
     let scenario = resolve_scenario scenario_name in
     let tuning = resolve_tuning ~default:Protocol.Tuning.wire_default tuning in
     let recorder, metrics, flush = telemetry trace_out metrics_out in
@@ -944,75 +951,43 @@ let serve_cmd =
     let scenario_suffix =
       match scenario_name with Some s -> ", scenario " ^ s | None -> ""
     in
-    (if shards = 1 then begin
-       let socket, address = Sockets.Udp.create_socket ~address:"0.0.0.0" ~port () in
-       let poller = Sockets.Poller.create () in
-       let admin = Option.map (fun p -> Server.Admin.create ~port:p ()) admin_port in
-       let transport =
-         Sockets.Transport.udp ~batch:ctx.Sockets.Io_ctx.batch ~poller ~socket ()
-       in
-       let engine =
-         Server.Engine.create ~max_flows ?scenario ~seed ~ctx ~on_complete ?flowtrace
-           ?admin ?stats_interval_ns ~on_snapshot ~transport ()
-       in
-       (* Ctrl-C stops the loop instead of killing the process, so the totals
-          line and any requested telemetry still get written. *)
-       Sys.set_signal Sys.sigint
-         (Sys.Signal_handle (fun _ -> Server.Engine.stop engine));
-       Printf.printf "serving on UDP %s (max %d concurrent flows%s)...\n%!"
-         (string_of_sockaddr address) max_flows scenario_suffix;
-       Option.iter
-         (fun a -> Printf.printf "stat socket on 127.0.0.1:%d\n%!" (Server.Admin.port a))
-         admin;
-       Server.Engine.run ?max_transfers engine;
-       Sockets.Poller.close poller;
-       Sockets.Udp.close socket;
-       Option.iter Server.Admin.close admin;
-       Format.printf "server: %a@." Server.Engine.pp_totals (Server.Engine.totals engine)
-     end
-     else begin
-       (* Sharded service: [max_transfers] counts hand-overs fleet-wide —
-          the group's completion callback is serialized, so a plain counter
-          is race-free. A success is handed over at verification, before
-          its linger, so the fleet stops one linger after the target is
-          reached, as a single engine's [run ~max_transfers] would. *)
-       let group_cell = ref None in
-       let settled = ref 0 in
-       let linger_s = 3. *. float_of_int (Protocol.Tuning.retransmit_ns tuning) /. 1e9 in
-       let on_complete e =
-         on_complete e;
-         incr settled;
-         match max_transfers with
-         | Some n when !settled = max 1 n ->
-             ignore
-               (Thread.create
-                  (fun () ->
-                    Thread.delay linger_s;
-                    Option.iter Server.Shard_group.stop !group_cell)
-                  ()
-                 : Thread.t)
-         | _ -> ()
-       in
-       let group =
-         Server.Shard_group.create ~address:"0.0.0.0" ~port ~max_flows ?scenario ~seed
-           ~ctx ~on_complete ?flowtrace ?admin_port ?stats_interval_ns ~on_snapshot
-           ~shards ()
-       in
-       group_cell := Some group;
-       Sys.set_signal Sys.sigint
-         (Sys.Signal_handle (fun _ -> Server.Shard_group.stop group));
-       Printf.printf
-         "serving on UDP %s across %d shards (max %d concurrent flows per shard%s)...\n%!"
-         (string_of_sockaddr (Server.Shard_group.address group))
-         shards max_flows scenario_suffix;
-       Option.iter
-         (fun p -> Printf.printf "stat socket on 127.0.0.1:%d (aggregated)\n%!" p)
-         (Server.Shard_group.admin_port group);
-       Server.Shard_group.start group;
-       Server.Shard_group.join group;
-       Format.printf "server: %a@." Server.Engine.pp_totals
-         (Server.Shard_group.totals group)
-     end);
+    (* [max_transfers] counts hand-overs group-wide — the group's completion
+       callback is serialized, so a plain counter is race-free. A success is
+       handed over at verification, before its linger, so the group stops
+       one linger after the N-th hand-over. *)
+    let group_cell = ref None in
+    let settled = ref 0 in
+    let linger_s = 3. *. float_of_int (Protocol.Tuning.retransmit_ns tuning) /. 1e9 in
+    let on_complete e =
+      on_complete e;
+      incr settled;
+      if Some !settled = max_transfers then
+        ignore
+          (Thread.create
+             (fun () ->
+               Thread.delay linger_s;
+               Option.iter Server.Group.stop !group_cell)
+             ()
+            : Thread.t)
+    in
+    let group =
+      Server.Group.create ~address:"0.0.0.0" ~port ~max_flows ?scenario ~seed ~ctx
+        ~on_complete ?flowtrace ?admin_port ?stats_interval_ns ~on_snapshot
+        ~binding:Server.Group.Shared_port ~members:shards ()
+    in
+    group_cell := Some group;
+    (* Ctrl-C stops the loops instead of killing the process, so the totals
+       line and any requested telemetry still get written. *)
+    Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> Server.Group.stop group));
+    Printf.printf "serving on UDP %s (shards %d, max %d concurrent flows per shard%s)...\n%!"
+      (string_of_sockaddr (Server.Group.address group 0))
+      shards max_flows scenario_suffix;
+    Option.iter
+      (fun p -> Printf.printf "stat socket on 127.0.0.1:%d\n%!" p)
+      (Server.Group.admin_port group);
+    Server.Group.start group;
+    Server.Group.join group;
+    Format.printf "server: %a@." Server.Engine.pp_totals (Server.Group.totals group);
     close_stats ();
     flush
       ~spans:(match flowtrace with Some ft -> Obs.Flowtrace.spans ft | None -> [])
@@ -1023,7 +998,9 @@ let serve_cmd =
       value
       & opt (some int) None
       & info [ "max-transfers" ] ~docv:"N"
-          ~doc:"Exit after this many flows have settled (default: serve until SIGINT).")
+          ~doc:
+            "Exit one linger after the $(docv)-th flow has been handed over (default: \
+             serve until SIGINT).")
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1317,18 +1294,21 @@ let ring_put_cmd =
       Printf.eprintf "ring: --kill needs at least two servers\n";
       exit 2
     end;
-    let fleet = Ring.Fleet.create ~base_port ~seed ?admin_port ~servers () in
-    Ring.Fleet.start fleet;
+    let fleet =
+      Server.Group.create ~port:base_port ~seed ?admin_port ~binding:Server.Group.Own_ports
+        ~members:servers ()
+    in
+    Server.Group.start fleet;
     Fun.protect
       ~finally:(fun () ->
-        Ring.Fleet.stop fleet;
-        Ring.Fleet.join fleet)
+        Server.Group.stop fleet;
+        Server.Group.join fleet)
       (fun () ->
         Printf.printf "ring: %d servers on ports [%s]\n%!" servers
           (String.concat " "
-             (Array.to_list (Array.map string_of_int (Ring.Fleet.ports fleet))));
-        let placement = Ring.Fleet.placement ~seed fleet in
-        let peer_of = Ring.Fleet.peer_of fleet in
+             (List.init servers (fun i -> string_of_int (Server.Group.port fleet i))));
+        let placement = Ring.Placement.create ~seed (Server.Group.alive fleet) in
+        let peer_of = Server.Group.address fleet in
         let data = ring_payload ~seed bytes in
         (* The kill lands while the fan-out is in flight: the put must
            still reach its write quorum from the survivors. *)
@@ -1340,7 +1320,7 @@ let ring_put_cmd =
               (Thread.create
                  (fun () ->
                    Thread.delay 0.002;
-                   Ring.Fleet.kill fleet victim;
+                   Server.Group.kill fleet victim;
                    Printf.printf "killed server %d mid-transfer\n%!" victim)
                  ())
           end
@@ -1367,7 +1347,7 @@ let ring_put_cmd =
         let ok =
           if no_repair then put.Ring.Client.quorum_met
           else begin
-            let live = Ring.Fleet.live_placement ~seed fleet in
+            let live = Ring.Placement.create ~seed (Server.Group.alive fleet) in
             let report =
               Ring.Repair.run ?jobs ~packet_bytes ~tuning
                 ~placement:live ~peer_of ~object_id ~stripes ~replicas ~data ()
@@ -1377,16 +1357,16 @@ let ring_put_cmd =
             && Array.for_all (fun c -> c >= quorum) report.Ring.Repair.after
           end
         in
-        let snap = Ring.Fleet.snapshot fleet in
+        let snap = Server.Group.snapshot fleet in
         Printf.printf "fleet: %d/%d alive, %d stripe replicas held\n"
-          (List.length (Ring.Fleet.alive fleet))
+          (List.length (Server.Group.alive fleet))
           servers
           (Option.value ~default:0
              (Option.bind (Obs.Json.member "manifest_stripes" snap) Obs.Json.to_int));
         if hold_s > 0.0 then begin
           Printf.printf "holding the ring for %.1f s (repair it from another shell: \
                          lanrepro ring-repair --base-port %d ...)\n%!"
-            hold_s (Ring.Fleet.port fleet 0);
+            hold_s (Server.Group.port fleet 0);
           Unix.sleepf hold_s
         end;
         if not ok then exit 1)
@@ -1677,7 +1657,7 @@ let render_snapshot buf addr json =
        (int_or 0 [ "health"; "spurious_wakeups" ])
        (int_or 0 [ "health"; "timer_heap" ]));
   (* Per-shard lanes: one row per shard from the aggregated snapshot's
-     [per_shard] breakdown (absent on a single-engine server). *)
+     [per_shard] breakdown (a lone engine's single row adds nothing). *)
   (match Option.bind (json_path [ "per_shard" ] json) Obs.Json.to_list with
   | Some (_ :: _ as per_shard) when shard_count > 1 ->
       Buffer.add_string buf

@@ -9,11 +9,14 @@ let () =
   let rng = Stats.Rng.create ~seed:2024 in
   let data = String.init (512 * 1024) (fun _ -> Char.chr (Stats.Rng.int rng 256)) in
   let suite = Protocol.Suite.Multi_blast { strategy = Protocol.Blast.Go_back_n; chunk_packets = 64 } in
-  let ctx =
-    {
-      (Sockets.Io_ctx.default ()) with
-      Sockets.Io_ctx.tuning = Protocol.Tuning.fixed ~retransmit_ns:25_000_000 ();
-    }
+  (* Each endpoint drops 2% of its own outgoing datagrams, iid. *)
+  let ctx ~seed =
+    Sockets.Io_ctx.make
+      ~faults:
+        (Faults.Netem.create ~seed
+           (Faults.Scenario.make ~name:"lossy" [ Faults.Scenario.Drop_iid 0.02 ]))
+      ~tuning:(Protocol.Tuning.fixed ~retransmit_ns:25_000_000 ())
+      ()
   in
 
   let receiver_socket, receiver_address = Sockets.Udp.create_socket () in
@@ -25,18 +28,15 @@ let () =
       (fun () ->
         received :=
           Some
-            (Sockets.Peer.serve_one ~ctx
-               ~lossy:(Sockets.Lossy.create ~seed:5 ~tx_loss:0.02 ~rx_loss:0.02)
-               ~socket:receiver_socket ~suite ()))
+            (Sockets.Peer.serve_one ~ctx:(ctx ~seed:5) ~socket:receiver_socket ~suite ()))
       ()
   in
 
   Printf.printf "sending %d KiB over UDP loopback with 2%% injected loss each way...\n%!"
     (String.length data / 1024);
   let result =
-    Sockets.Peer.send ~ctx
-      ~lossy:(Sockets.Lossy.create ~seed:6 ~tx_loss:0.02 ~rx_loss:0.02)
-      ~socket:sender_socket ~peer:receiver_address ~suite ~data ()
+    Sockets.Peer.send ~ctx:(ctx ~seed:6) ~socket:sender_socket ~peer:receiver_address
+      ~suite ~data ()
   in
   Thread.join receiver_thread;
   Sockets.Udp.close receiver_socket;

@@ -213,7 +213,7 @@ let engine_proc h index () =
           (Sockets.Io_ctx.make ~clock:(clock_of h) ~recorder:h.recorder
              ~tuning:h.cfg.tuning ())
         ~on_complete:(on_complete h) ~flowtrace:h.flowtrace ~trace_epoch:gen
-        ?shard:(if h.cfg.shards = 1 then None else Some index)
+        ~lane_prefix:(if h.cfg.shards = 1 then "" else Printf.sprintf "s%d:" index)
         ~transport ()
     in
     h.engines.(index) <- Some engine;

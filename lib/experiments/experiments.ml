@@ -747,6 +747,18 @@ let udp ppf =
           Protocol.Tuning.fixed ~retransmit_ns:20_000_000 ~pacing ();
       }
     in
+    (* Each endpoint drops its own outgoing datagrams, iid. *)
+    let with_loss ~seed =
+      if loss = 0.0 then ctx
+      else
+        {
+          ctx with
+          Sockets.Io_ctx.faults =
+            Some
+              (Faults.Netem.create ~seed
+                 (Faults.Scenario.make ~name:"lossy" [ Faults.Scenario.Drop_iid loss ]));
+        }
+    in
     let receiver_socket, receiver_address = Sockets.Udp.create_socket () in
     let sender_socket, _ = Sockets.Udp.create_socket () in
     let received = ref None in
@@ -755,15 +767,13 @@ let udp ppf =
         (fun () ->
           received :=
             Some
-              (Sockets.Peer.serve_one ~ctx
-                 ~lossy:(Sockets.Lossy.create ~seed:3 ~tx_loss:loss ~rx_loss:0.0)
-                 ~socket:receiver_socket ~suite ()))
+              (Sockets.Peer.serve_one ~ctx:(with_loss ~seed:3) ~socket:receiver_socket
+                 ~suite ()))
         ()
     in
     let result =
-      Sockets.Peer.send ~ctx
-        ~lossy:(Sockets.Lossy.create ~seed:4 ~tx_loss:loss ~rx_loss:0.0)
-        ~socket:sender_socket ~peer:receiver_address ~suite ~data ()
+      Sockets.Peer.send ~ctx:(with_loss ~seed:4) ~socket:sender_socket
+        ~peer:receiver_address ~suite ~data ()
     in
     Thread.join thread;
     Sockets.Udp.close receiver_socket;

@@ -176,15 +176,3 @@ let tx_message ?(on_undecodable = fun _ -> ()) t message =
                 account for the detection. *)
              on_undecodable err;
              None)
-
-let drops t =
-  let dropped =
-    List.fold_left
-      (fun acc stage ->
-        match stage with
-        | Drop model -> Netmodel.Error_model.drops model || acc
-        | Duplicate _ | Hold _ | Flip _ | Cut _ | Jitter _ -> acc)
-      false t.stages
-  in
-  if dropped then note t "drop" (fun s -> s.dropped <- s.dropped + 1);
-  dropped

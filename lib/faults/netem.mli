@@ -65,8 +65,3 @@ val tx_message :
 
 val flush : t -> emission list
 (** Releases every held-back datagram immediately (end of a transfer). *)
-
-val drops : t -> bool
-(** Samples only the drop injectors for a single keep/drop decision — the
-    {!Sockets.Lossy} compatibility path, and receive-side loss, where no byte
-    transformation applies. *)

@@ -23,8 +23,9 @@ let create ?(address = "127.0.0.1") ~port () =
 
 let port t = t.port
 
-(* At most this many requests answered per engine loop round: an operator
-   polling at human rates needs one; a flood must not starve the data path. *)
+(* At most this many requests answered per poll: an operator polling at
+   human rates needs one; a flood must not starve the live snapshots each
+   answer costs the serving loops. *)
 let poll_budget = 8
 
 let poll t ~snapshot =

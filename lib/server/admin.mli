@@ -1,10 +1,11 @@
 (** Admin stat socket: a tiny request/response plane beside the data path.
 
-    The engine binds a second UDP socket on its own port and answers
+    A server {!Group} binds a second UDP socket on its own port and answers
     ["stat"] datagrams with one JSON snapshot datagram. The socket is
-    non-blocking and only ever touched from the engine loop's idle point
-    ({!poll}), so an operator querying a loaded server costs one recvfrom
-    and one sendto per query and can never stall a flow. The protocol is a
+    non-blocking and only ever touched from the group's service thread
+    ({!poll}), never from a serving loop, so an operator querying a loaded
+    server costs one recvfrom and one sendto per query and can never stall
+    a flow. The protocol is a
     single datagram each way — no connection, no framing — which is why
     {!query} (the client half used by [lanrepro stat]/[top] and the tests)
     just retries on timeout like any datagram protocol. *)

@@ -54,9 +54,9 @@ type health = {
       (** [drain_exhausted] at the previous budget advert — a fresh
           exhaustion since then reads as live socket pressure *)
   mutable spurious_wakeups : int;
-      (** wakeups that found nothing: no datagram, no due timer, no stats
-          emission, no admin socket to poll — the waste the derived wait
-          eliminates (legacy capped waits show up here at ~20/s idle) *)
+      (** wakeups that found nothing: no datagram, no due timer — the waste
+          the derived wait eliminates (capped waits show up here at ~20/s
+          idle) *)
 }
 
 let create_health () =
@@ -121,13 +121,9 @@ type t = {
   clock : unit -> int;
   on_complete : completion_event -> unit;
   flowtrace : Obs.Flowtrace.t option;
-  admin : Admin.t option;
-  stats_interval_ns : int option;
-  on_snapshot : Obs.Json.t -> unit;
   on_idle : unit -> unit;
   trace_epoch : int;
-  shard : int option;
-  label_prefix : string;  (** shard tag on every trace lane; "" unsharded *)
+  label_prefix : string;  (** member tag on every trace lane; "" for a lone engine *)
   created_ns : int;
   health : health;
   flows : (key, flow_state) Hashtbl.t;
@@ -143,26 +139,19 @@ type t = {
   mutable next_index : int;
   mutable next_reject : int;  (** uniquifier for rejected-REQ trace lanes *)
   mutable flight_dumped : bool;  (** one automatic postmortem per engine *)
-  mutable next_stats_ns : int;
   mutable tx_queued : int;  (** sends since the last flush point *)
 }
 
 let create ?(max_flows = 64)
     ?idle_timeout_ns ?linger_ns ?fallback_suite ?scenario ?(seed = 1)
-    ?(drain_budget = 64) ?ctx ?(on_complete = fun _ -> ()) ?flowtrace ?admin
-    ?stats_interval_ns ?(on_snapshot = fun _ -> ()) ?(on_idle = fun () -> ())
-    ?(trace_epoch = 0) ?shard ?lane_prefix ~transport () =
+    ?(drain_budget = 64) ?ctx ?(on_complete = fun _ -> ()) ?flowtrace
+    ?(on_idle = fun () -> ()) ?(trace_epoch = 0) ?lane_prefix:(label_prefix = "")
+    ~transport () =
   if max_flows < 0 then invalid_arg "Engine.create: negative max_flows";
   if drain_budget <= 0 then invalid_arg "Engine.create: drain_budget must be positive";
   let ctx = match ctx with Some c -> c | None -> Sockets.Io_ctx.default () in
   let { Sockets.Io_ctx.recorder; metrics; clock; batch = _; faults = _; tuning } = ctx in
   Option.iter (fun r -> Obs.Recorder.set_clock r clock) recorder;
-  let label_prefix =
-    match (lane_prefix, shard) with
-    | Some p, _ -> p
-    | None, Some i -> Printf.sprintf "s%d:" i
-    | None, None -> ""
-  in
   let server_counters = Protocol.Counters.create () in
   let server_probe =
     Obs.Probe.create ?recorder ~lane:(label_prefix ^ "server")
@@ -184,12 +173,8 @@ let create ?(max_flows = 64)
     clock;
     on_complete;
     flowtrace;
-    admin;
-    stats_interval_ns;
-    on_snapshot;
     on_idle;
     trace_epoch;
-    shard;
     label_prefix;
     created_ns;
     health = create_health ();
@@ -204,10 +189,6 @@ let create ?(max_flows = 64)
     next_index = 0;
     next_reject = 0;
     flight_dumped = false;
-    next_stats_ns =
-      (match stats_interval_ns with
-      | None -> max_int
-      | Some interval -> created_ns + interval);
     tx_queued = 0;
   }
 
@@ -725,17 +706,14 @@ let flow_json ~now fs =
     ]
 
 (* Not thread-safe: reads the live flow table, so it must run on the serving
-   thread (the loop's own admin poll / stats tick) or after [run] returned. *)
+   thread (the [on_idle] hook) or after [run] returned. *)
 let snapshot t =
   let now = t.clock () in
   let flows = Hashtbl.fold (fun _ fs acc -> fs :: acc) t.flows [] in
   let flows = List.sort (fun a b -> compare a.label b.label) flows in
   let shown = List.filteri (fun i _ -> i < snapshot_flow_cap) flows in
   Obs.Json.Obj
-    ((match t.shard with
-     | None -> []
-     | Some i -> [ ("shard", Obs.Json.Int i) ])
-    @ [
+    [
       ("schema", Obs.Json.String "lanrepro-stat/1");
       ("now_ns", Obs.Json.Int now);
       ("uptime_ns", Obs.Json.Int (now - t.created_ns));
@@ -748,63 +726,33 @@ let snapshot t =
       ("flows", Obs.Json.List (List.map (flow_json ~now) shown));
       ("health", health_json t);
       ("counters", counters_json (rollup t));
-    ])
+    ]
 
-let maybe_emit_stats t ~now =
-  match t.stats_interval_ns with
-  | None -> ()
-  | Some interval ->
-      if now >= t.next_stats_ns then begin
-        t.on_snapshot (snapshot t);
-        t.next_stats_ns <- now + interval
-      end
-
-(* Bounded service cap, used only when something outside the transport
-   needs periodic attention: an admin socket (its requests arrive on a fd
-   the transport cannot see, so it is polled), or a transport without a
-   [wake] capability (where a cross-thread [stop] can only be noticed by
-   waking up). An engine with neither blocks indefinitely when idle. *)
+(* Bounded service cap for a transport without a [wake] capability, where a
+   cross-thread [stop] or [on_idle] request can only be noticed by waking
+   up. An engine on a wakeable transport blocks indefinitely when idle. *)
 let service_cap_ns = 50_000_000
 
-let run ?max_transfers t =
-  let served () = t.totals.completed + t.totals.aborted in
-  let finished () =
-    match max_transfers with
-    | Some n -> served () >= n && Hashtbl.length t.flows = 0
-    | None -> false
-  in
+let run t =
   Log.info (fun f -> f "serving (max %d concurrent flows)" t.max_flows);
-  while (not (Atomic.get t.stopped)) && not (finished ()) do
+  while not (Atomic.get t.stopped) do
     let now = t.clock () in
     service_timers t ~now;
     (* Everything the timers and the previous drain queued goes out as one
        train; acks never wait longer than one loop round. *)
     flush_tx t;
-    (* Stats plane, serviced at the loop's idle point: never between a
-       datagram and its ack, never blocking. *)
-    Option.iter (fun a -> Admin.poll a ~snapshot:(fun () -> snapshot t)) t.admin;
     t.on_idle ();
-    maybe_emit_stats t ~now;
     Obs.Hist.add t.health.timer_heap_depth (float_of_int (Timers.length t.timers));
     (* The wait is derived purely from pending work: the earliest timer
-       deadline, the next stats emission, and (when present) the admin
-       service cap. With a wakeable transport and none of those, the wait
-       is unbounded — an idle engine sleeps until traffic, a wake, or
-       stop, instead of ticking 20x a second. *)
+       deadline, capped only on a transport without wake. With a wakeable
+       transport and no timer, the wait is unbounded — an idle engine
+       sleeps until traffic, a wake, or stop, instead of ticking 20x a
+       second. *)
     let timeout_ns =
-      let bound = max_int in
       let bound =
         match Timers.peek_deadline t.timers with
-        | None -> bound
-        | Some deadline -> min bound (max 0 (deadline - now))
-      in
-      let bound =
-        match t.stats_interval_ns with
-        | None -> bound
-        | Some _ -> min bound (max 0 (t.next_stats_ns - now))
-      in
-      let bound =
-        if Option.is_some t.admin then min bound service_cap_ns else bound
+        | None -> max_int
+        | Some deadline -> max 0 (deadline - now)
       in
       let bound =
         if Option.is_none t.transport.Sockets.Transport.wake then
@@ -828,25 +776,16 @@ let run ?max_transfers t =
       Obs.Hist.add t.health.recv_drained (float_of_int drained);
     if drained >= t.drain_budget then
       t.health.drain_exhausted <- t.health.drain_exhausted + 1;
-    (* A wakeup that found no datagram, no due timer, no stats emission,
-       and has no admin socket to service did nothing at all. *)
+    (* A wakeup that found no datagram and no due timer did nothing at
+       all. *)
     if drained = 0 then begin
-      let now' = t.clock () in
       let timer_due =
         match Timers.peek_deadline t.timers with
-        | Some d -> d - now' <= 0
+        | Some d -> d - t.clock () <= 0
         | None -> false
       in
-      let stats_due =
-        match t.stats_interval_ns with
-        | Some _ -> now' >= t.next_stats_ns
-        | None -> false
-      in
-      if
-        (not timer_due) && (not stats_due)
-        && Option.is_none t.admin
-        && not (Atomic.get t.stopped)
-      then t.health.spurious_wakeups <- t.health.spurious_wakeups + 1
+      if (not timer_due) && not (Atomic.get t.stopped) then
+        t.health.spurious_wakeups <- t.health.spurious_wakeups + 1
     end;
     (* Work time only — the blocking wait between [pre_wait] and [resumed]
        is idleness, not load, and would drown the signal at 50 ms a tick. *)

@@ -24,11 +24,14 @@
     ~50 ms service cap); shutdown force-settles every live flow to a typed
     completion.
 
-    {b Idle cost.} The wait is derived from pending work alone — earliest
-    timer deadline, next stats emission, admin service cap. An idle engine
-    on a wakeable transport with no admin socket blocks indefinitely
-    instead of ticking 20x a second; wakeups that turn out to have nothing
-    to do are counted in [health.spurious_wakeups]. *)
+    {b Idle cost.} The wait is derived from pending work alone — the
+    earliest timer deadline. An idle engine on a wakeable transport blocks
+    indefinitely instead of ticking 20x a second; wakeups that turn out to
+    have nothing to do are counted in [health.spurious_wakeups].
+
+    The stat socket and periodic snapshots are not the engine's business:
+    {!Group} hosts engines and serves both from its own thread, fetching
+    each live snapshot through [on_idle] and {!wake}. *)
 
 type totals = {
   mutable accepted : int;  (** REQs admitted into the flow table *)
@@ -100,12 +103,8 @@ val create :
   ?ctx:Sockets.Io_ctx.t ->
   ?on_complete:(completion_event -> unit) ->
   ?flowtrace:Obs.Flowtrace.t ->
-  ?admin:Admin.t ->
-  ?stats_interval_ns:int ->
-  ?on_snapshot:(Obs.Json.t -> unit) ->
   ?on_idle:(unit -> unit) ->
   ?trace_epoch:int ->
-  ?shard:int ->
   ?lane_prefix:string ->
   transport:Sockets.Transport.t ->
   unit ->
@@ -141,8 +140,8 @@ val create :
     in supersede or shutdown does not fire it again. Any other outcome
     (idle watchdog, protocol failure, a running flow superseded or
     force-settled at shutdown) fires it when the flow settles. Totals, the
-    flowtrace terminal, [run ~max_transfers] and admission still count a
-    flow until its linger ends. Raises
+    flowtrace terminal and admission still count a flow until its linger
+    ends. Raises
     [Invalid_argument] on a negative [max_flows] or non-positive
     [drain_budget]; [max_flows = 0] refuses everything — the admission
     test's degenerate case.
@@ -151,26 +150,16 @@ val create :
     rounds → verify → exactly one of done/failed/rejected/superseded),
     timestamped from [ctx.clock] so real-UDP and DST runs trace
     identically; [trace_epoch] namespaces the lanes of successive engine
-    incarnations sharing one flowtrace (DST restarts). [admin] is polled
-    once per loop round at the idle point — a stat query costs the data
-    path nothing (and keeps the loop's wait bounded by the ~50 ms service
-    cap, since admin requests arrive on a fd the transport cannot watch).
-    [stats_interval_ns] calls [on_snapshot] with {!snapshot}'s JSON at
-    that period, from the serving thread; the wait derivation honours the
-    emission instant exactly. [on_idle] also runs once per round at the
-    idle point, on the serving thread — {!Shard_group} uses it to answer
-    cross-thread snapshot requests; pair it with {!wake} to bound its
-    latency. [shard] tags the engine as member [i] of a shard group: every
-    trace lane and snapshot label is prefixed ["s<i>:"] and the snapshot
-    gains a [shard] field, so merged observability stays attributable.
-    [lane_prefix] overrides that derived prefix verbatim — a ring fleet
-    tags member [i]'s lanes ["r<i>:"] so replica flows of one striped
-    object stay attributable after the per-server roll-up merges. *)
+    incarnations sharing one flowtrace (DST restarts). [on_idle] runs once
+    per loop round at the idle point, on the serving thread — {!Group}
+    uses it to answer cross-thread snapshot requests; pair it with {!wake}
+    to bound its latency. [lane_prefix] (default [""]) prefixes every
+    trace lane and snapshot label, so flows stay attributable after a
+    group's roll-up merges its members. *)
 
-val run : ?max_transfers:int -> t -> unit
-(** Serves until {!stop}, or — with [max_transfers] — until that many flows
-    have settled and the table is empty. Runs in the calling thread;
-    shutdown force-settles any flow still live. *)
+val run : t -> unit
+(** Serves until {!stop}. Runs in the calling thread; shutdown
+    force-settles any flow still live. *)
 
 val stop : t -> unit
 (** Thread-safe. Sets the stop flag and {!wake}s the loop, so [run]
@@ -179,9 +168,10 @@ val stop : t -> unit
 
 val wake : t -> unit
 (** Nudge a blocked serving loop from any thread: its current [recv]
-    returns promptly and the loop passes its idle point (admin poll,
-    [on_idle], stats) again. Spurious wakes are counted, never harmful. A
-    no-op on transports without the wake capability. *)
+    returns promptly and the loop passes its idle point ([on_idle]) again.
+    Spurious wakes are counted, never harmful. A no-op on transports
+    without the wake capability, whose waits are capped at ~50 ms
+    instead. *)
 
 val totals : t -> totals
 val active_flows : t -> int
@@ -213,7 +203,7 @@ val snapshot : t -> Obs.Json.t
     summaries, and the same counter roll-up {!rollup} returns — the
     snapshot's [counters] reconcile with the final roll-up by
     construction. {b Not thread-safe}: call from the serving thread (the
-    admin poll and stats timer do) or after {!run} has returned. *)
+    [on_idle] hook) or after {!run} has returned. *)
 
 val invariant_violations : t -> string list
 (** Structural invariants the event loop maintains between rounds, as

@@ -69,42 +69,16 @@ let run ?max_flows ?jobs ?(bytes = 64 * 1024) ?(packet_bytes = 1024)
   let on_complete event = completions := event :: !completions in
   (* The server side gets its own domain(s): the pool below keeps every
      other domain (including this one) busy running senders, and the server
-     must keep ticking its timers while they all blast at it. A swarm at
-     [shards = 1] keeps the single-engine shape (direct admin/stat wiring,
-     no REUSEPORT) so the default path stays byte-identical to before;
-     [shards > 1] serves through a {!Shard_group}, whose REUSEPORT hash
-     spreads the senders' flows across shard engines. *)
-  let server =
-    if shards = 1 then begin
-      let socket, server_address = Sockets.Udp.create_socket () in
-      let poller = Sockets.Poller.create () in
-      let transport =
-        Sockets.Transport.udp ~batch:ctx.Sockets.Io_ctx.batch ~poller ~socket ()
-      in
-      let admin = Option.map (fun port -> Admin.create ~port ()) admin_port in
-      let engine =
-        Engine.create ?max_flows ?idle_timeout_ns
-          ?scenario:server_scenario ~seed:(seed + 1) ~ctx ~on_complete ?flowtrace ?admin
-          ?stats_interval_ns ?on_snapshot ~transport ()
-      in
-      let server_domain = Domain.spawn (fun () -> Engine.run engine) in
-      `Single (socket, poller, admin, engine, server_domain, server_address)
-    end
-    else begin
-      let group =
-        Shard_group.create ?max_flows ?idle_timeout_ns
-          ?scenario:server_scenario ~seed:(seed + 1) ~ctx ~on_complete ?flowtrace
-          ?admin_port ?stats_interval_ns ?on_snapshot ~shards ()
-      in
-      Shard_group.start group;
-      `Group group
-    end
+     must keep ticking its timers while they all blast at it. Past one
+     shard the group's REUSEPORT hash spreads the senders' flows across
+     its engines. *)
+  let group =
+    Group.create ?max_flows ?idle_timeout_ns ?scenario:server_scenario ~seed:(seed + 1)
+      ~ctx ~on_complete ?flowtrace ?admin_port ?stats_interval_ns ?on_snapshot
+      ~binding:Group.Shared_port ~members:shards ()
   in
-  let server_address =
-    match server with
-    | `Single (_, _, _, _, _, addr) -> addr
-    | `Group group -> Shard_group.address group
-  in
+  Group.start group;
+  let server_address = Group.address group 0 in
   let jobs = match jobs with Some j -> j | None -> flows in
   let one index =
     let rng = Stats.Rng.derive ~root:seed ~index in
@@ -141,28 +115,13 @@ let run ?max_flows ?jobs ?(bytes = 64 * 1024) ?(packet_bytes = 1024)
   let started = clock () in
   let senders = Exec.Pool.map ~jobs ~f:one (List.init flows Fun.id) in
   let elapsed_ns = clock () - started in
-  (* Read the server side only after its domain(s) exited: snapshot and the
+  (* Read the server side only after its domains exited: snapshot and the
      invariant check walk live flow tables. A violated invariant also dumps
      the flight ring from inside [invariant_violations]. *)
-  let engine_snapshot, invariants, server_totals, server_rollup =
-    match server with
-    | `Single (socket, poller, admin, engine, server_domain, _) ->
-        Engine.stop engine;
-        Domain.join server_domain;
-        let snap = Engine.snapshot engine in
-        let invariants = Engine.invariant_violations engine in
-        Option.iter Admin.close admin;
-        Sockets.Poller.close poller;
-        Sockets.Udp.close socket;
-        (snap, invariants, Engine.totals engine, Engine.rollup engine)
-    | `Group group ->
-        Shard_group.stop group;
-        Shard_group.join group;
-        ( Shard_group.snapshot group,
-          Shard_group.invariant_violations group,
-          Shard_group.totals group,
-          Shard_group.rollup group )
-  in
+  Group.stop group;
+  Group.join group;
+  let engine_snapshot = Group.snapshot group in
+  let invariants = Group.invariant_violations group in
   let count outcome =
     List.length (List.filter (fun s -> s.outcome = outcome) senders)
   in
@@ -207,8 +166,8 @@ let run ?max_flows ?jobs ?(bytes = 64 * 1024) ?(packet_bytes = 1024)
       latency_ms;
       senders;
       completions = List.rev !completions;
-      server = server_totals;
-      rollup = server_rollup;
+      server = Group.totals group;
+      rollup = Group.rollup group;
       engine_snapshot;
       invariants;
     }

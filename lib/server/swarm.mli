@@ -1,6 +1,7 @@
-(** Swarm load generator: N concurrent senders against one {!Engine}.
+(** Swarm load generator: N concurrent senders against a {!Group} of
+    engines sharing one port.
 
-    Spins the server engine up on its own domain, then drives [flows]
+    Spins the server group up on its own domains, then drives [flows]
     independent {!Sockets.Peer.send} transfers through an {!Exec.Pool} — each
     sender with its own socket, transfer id, deterministically-derived
     payload and (optionally) its own seeded fault pipeline. The whole run is
@@ -23,7 +24,7 @@ type sender_report = {
 type report = {
   flows : int;
   jobs : int;  (** effective pool parallelism (after the pool's clamp) *)
-  shards : int;  (** server-side shard count (1 = single engine) *)
+  shards : int;  (** server-side shard count (1 = a lone engine) *)
   bytes_per_flow : int;
   completed : int;  (** senders that finished [Success] *)
   rejected : int;  (** senders refused by admission control *)
@@ -39,9 +40,9 @@ type report = {
   server : Engine.totals;
   rollup : Protocol.Counters.t;
   engine_snapshot : Obs.Json.t;
-      (** {!Engine.snapshot} taken after the engine loop exited — its
+      (** {!Group.snapshot} taken after the engine loops exited — its
           [health] section is the loop-health record of the whole run *)
-  invariants : string list;  (** {!Engine.invariant_violations} at the end *)
+  invariants : string list;  (** {!Group.invariant_violations} at the end *)
 }
 
 val server_verified : report -> int
@@ -84,19 +85,14 @@ val run :
     engine loop and each sender's blast bursts. Not re-entrant from inside
     an [Exec.Pool] task (the pool contract forbids nested batches).
 
-    [flowtrace], [stats_interval_ns] and [on_snapshot] pass through to
-    {!Engine.create}. [admin_port] binds a stat socket ({!Admin}) on
-    127.0.0.1 for the engine to answer while the swarm runs — query it
-    with [lanrepro stat] — and closes it when the run ends. If the engine
-    finishes with invariant violations they are returned in the report,
-    logged, and the flight ring (when [ctx.recorder] is set) is dumped
-    automatically.
-
-    [shards] (default 1) picks the server shape: 1 keeps the single engine
-    on one domain; N > 1 serves through a {!Shard_group} — N engines on N
-    domains sharing the port via [SO_REUSEPORT], with [admin_port],
-    [stats_interval_ns]/[on_snapshot], totals, roll-up, snapshot and
-    invariants all aggregated across the fleet. The report's [server],
-    [rollup], [engine_snapshot] and [invariants] are then the merged
-    views; [engine_snapshot] additionally carries the [per_shard]
-    breakdown. *)
+    The server is a [Shared_port] {!Group} of [shards] engines (default 1,
+    the lone engine; N > 1 shares the port via [SO_REUSEPORT]), seeded
+    from [seed + 1]. [flowtrace], [admin_port], [stats_interval_ns] and
+    [on_snapshot] pass through to {!Group.create}: the stat socket binds
+    127.0.0.1, answers the group's aggregated snapshot while the swarm
+    runs — query it with [lanrepro stat] — and closes when the run ends.
+    The report's [server], [rollup], [engine_snapshot] (with its
+    [per_shard] breakdown) and [invariants] are the group's merged views.
+    If an engine finishes with invariant violations they are returned in
+    the report, logged, and the flight ring (when [ctx.recorder] is set)
+    is dumped automatically. *)

@@ -111,8 +111,8 @@ val total_packets : t -> int
     server's stats plane. *)
 
 val on_message : t -> now:int -> Packet.Message.t -> action list
-(** Feed one decoded datagram (driver has already applied its loss coin and
-    routed by transfer id; mismatched ids are ignored). Resets the idle
+(** Feed one decoded datagram (the loop feeding it has already routed it
+    by transfer id; mismatched ids are ignored). Resets the idle
     watchdog. A duplicate REQ is answered with the handshake ack; anything
     else goes to the machine. While lingering, duplicates are re-answered
     without extending the linger window. *)

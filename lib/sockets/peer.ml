@@ -23,40 +23,37 @@ type receive_result = {
           idle watchdog aborted because the sender went silent *)
 }
 
-(* One outgoing message through the loss coin and the fault pipeline. The
-   datagram goes out through the transport — queued into the current train
-   when the transport batches; the caller flushes at the end of each action
-   burst. Delayed emissions are realized inline (the train so far is flushed,
-   then the datagram, and everything behind it, goes out late) —
-   head-of-line delay rather than per-datagram jitter, which is what a slow
-   link does to a single UDP flow anyway. Scenario validation caps delays at
-   one second so a faulted sender can never stall unboundedly. *)
-let transmit ?faults ~probe ~lossy ~(transport : Transport.t) ~peer message =
-  (* The journal entry fires per protocol send, before the loss coin — the
-     machine's counters account the send either way, and the events must
-     agree with them exactly. *)
+(* One outgoing message through the fault pipeline. The datagram goes out
+   through the transport — queued into the current train when the transport
+   batches; the caller flushes at the end of each action burst. Delayed
+   emissions are realized inline (the train so far is flushed, then the
+   datagram, and everything behind it, goes out late) — head-of-line delay
+   rather than per-datagram jitter, which is what a slow link does to a
+   single UDP flow anyway. Scenario validation caps delays at one second so
+   a faulted sender can never stall unboundedly. *)
+let transmit ?faults ~probe ~(transport : Transport.t) ~peer message =
+  (* The journal entry fires per protocol send, before the fault pipeline —
+     the machine's counters account the send either way, and the events
+     must agree with them exactly. *)
   Obs.Probe.tx probe message;
-  if Lossy.pass_tx lossy then begin
-    (* A transient send failure is loss: account it like the loss coin. *)
-    let put = function
-      | Udp.Sent -> ()
-      | Udp.Send_failed _ -> Obs.Probe.drop probe `Tx
-    in
-    match faults with
-    | None -> transport.Transport.send ~peer ~on_outcome:put (Packet.Codec.encode message)
-    | Some netem ->
-        List.iter
-          (fun { Faults.Netem.delay_ns; data } ->
-            if delay_ns > 0 then begin
-              (* Everything ahead of the delayed datagram must hit the wire
-                 before we stall, or the delay would reorder the train. *)
-              transport.Transport.flush ();
-              transport.Transport.sleep_ns delay_ns
-            end;
-            transport.Transport.send ~peer ~on_outcome:put data)
-          (Faults.Netem.tx_bytes netem (Packet.Codec.encode message))
-  end
-  else Obs.Probe.drop probe `Tx
+  (* A transient send failure is loss: account it as a dropped datagram. *)
+  let put = function
+    | Udp.Sent -> ()
+    | Udp.Send_failed _ -> Obs.Probe.drop probe `Tx
+  in
+  match faults with
+  | None -> transport.Transport.send ~peer ~on_outcome:put (Packet.Codec.encode message)
+  | Some netem ->
+      List.iter
+        (fun { Faults.Netem.delay_ns; data } ->
+          if delay_ns > 0 then begin
+            (* Everything ahead of the delayed datagram must hit the wire
+               before we stall, or the delay would reorder the train. *)
+            transport.Transport.flush ();
+            transport.Transport.sleep_ns delay_ns
+          end;
+          transport.Transport.send ~peer ~on_outcome:put data)
+        (Faults.Netem.tx_bytes netem (Packet.Codec.encode message))
 
 let count_garbage = Flow.count_garbage
 
@@ -69,7 +66,7 @@ let count_garbage = Flow.count_garbage
 
    [pacing] is sampled per data packet, so an adaptive controller can steer
    the gap round by round. *)
-let run_machine ?faults ?(lossy = Lossy.perfect) ?rtt ?(pacing = fun () -> 0)
+let run_machine ?faults ?rtt ?(pacing = fun () -> 0)
     ?idle_timeout_ns ~clock ~probe ~(transport : Transport.t) ~peer ~transfer_id
     ~(machine : Protocol.Machine.t) () =
   let deadline = ref None in
@@ -80,7 +77,7 @@ let run_machine ?faults ?(lossy = Lossy.perfect) ?rtt ?(pacing = fun () -> 0)
   let execute action =
     match action with
     | Protocol.Action.Send m ->
-        transmit ?faults ~probe ~lossy ~transport ~peer m;
+        transmit ?faults ~probe ~transport ~peer m;
         (* Pacing: an unthrottled blast overruns the receiver's socket
            buffer exactly as the paper's 3-Com overran at full speed; a
            small inter-packet gap avoids the drops instead of repairing
@@ -168,11 +165,8 @@ let run_machine ?faults ?(lossy = Lossy.perfect) ?rtt ?(pacing = fun () -> 0)
                 f "dropping undecodable datagram (%a)" Packet.Codec.pp_error reason)
         | `Message (m, _) ->
             reset_idle ();
-            if Lossy.pass_rx lossy then begin
-              if m.Packet.Message.transfer_id = transfer_id then
-                handle (Protocol.Action.Message m)
-            end
-            else Obs.Probe.drop probe `Rx
+            if m.Packet.Message.transfer_id = transfer_id then
+              handle (Protocol.Action.Message m)
       end
   done;
   if !watchdog_fired then begin
@@ -192,7 +186,7 @@ let fixed_pacing ~tuning ~rtt () =
       | Some srtt when srtt > 0 -> srtt / 32
       | Some _ | None -> 0)
 
-let send_via ?ctx ?(lossy = Lossy.perfect) ?transfer_id ?(packet_bytes = 1024) ?rtt
+let send_via ?ctx ?transfer_id ?(packet_bytes = 1024) ?rtt
     ?idle_timeout_ns ?stripe ~transport ~peer ~suite ~data () =
   if String.length data = 0 then invalid_arg "Peer.send: empty data";
   let ctx = match ctx with Some c -> c | None -> Io_ctx.default () in
@@ -274,7 +268,7 @@ let send_via ?ctx ?(lossy = Lossy.perfect) ?transfer_id ?(packet_bytes = 1024) ?
   let rec handshake attempt =
     if attempt > max_attempts then `Unreachable
     else begin
-      transmit ?faults ~probe ~lossy ~transport ~peer (req_for attempt);
+      transmit ?faults ~probe ~transport ~peer (req_for attempt);
       transport.Transport.flush ();
       match Transport.recv_message transport ~timeout_ns:retransmit_ns () with
       | `Timeout ->
@@ -284,7 +278,7 @@ let send_via ?ctx ?(lossy = Lossy.perfect) ?transfer_id ?(packet_bytes = 1024) ?
           count_garbage ~probe counters reason;
           handshake (attempt + 1)
       | `Message (m, _) ->
-          if not (Lossy.pass_rx lossy) || m.Packet.Message.transfer_id <> transfer_id then
+          if m.Packet.Message.transfer_id <> transfer_id then
             handshake (attempt + 1)
           else begin
             match m.Packet.Message.kind with
@@ -345,7 +339,7 @@ let send_via ?ctx ?(lossy = Lossy.perfect) ?transfer_id ?(packet_bytes = 1024) ?
       let machine = Protocol.Suite.sender suite ~counters ?ctrl config ~payload in
       let started = clock () in
       let status =
-        run_machine ?faults ~lossy ?rtt ~pacing ~idle_timeout_ns ~clock ~probe ~transport
+        run_machine ?faults ?rtt ~pacing ~idle_timeout_ns ~clock ~probe ~transport
           ~peer ~transfer_id ~machine ()
       in
       (match faults with
@@ -362,7 +356,7 @@ let send_via ?ctx ?(lossy = Lossy.perfect) ?transfer_id ?(packet_bytes = 1024) ?
       in
       finish ~outcome ~elapsed_ns:(clock () - started) ~adaptive
 
-let send ?ctx ?lossy ?transfer_id ?packet_bytes ?rtt ?idle_timeout_ns ?stripe ~socket
+let send ?ctx ?transfer_id ?packet_bytes ?rtt ?idle_timeout_ns ?stripe ~socket
     ~peer ~suite ~data () =
   let ctx = match ctx with Some c -> c | None -> Io_ctx.default () in
   (* Pacing wants an inter-packet gap, batching erases them: a paced sender
@@ -372,10 +366,10 @@ let send ?ctx ?lossy ?transfer_id ?packet_bytes ?rtt ?idle_timeout_ns ?stripe ~s
     && Protocol.Tuning.pacing ctx.Io_ctx.tuning = Protocol.Tuning.No_pacing
   in
   let transport = Transport.udp ~batch ~socket () in
-  send_via ~ctx ?lossy ?transfer_id ?packet_bytes ?rtt ?idle_timeout_ns ?stripe ~transport
+  send_via ~ctx ?transfer_id ?packet_bytes ?rtt ?idle_timeout_ns ?stripe ~transport
     ~peer ~suite ~data ()
 
-let serve_one_via ?ctx ?(lossy = Lossy.perfect) ?linger_ns ?idle_timeout_ns
+let serve_one_via ?ctx ?linger_ns ?idle_timeout_ns
     ?accept_timeout_ns ?suite ~(transport : Transport.t) () =
   let ctx = match ctx with Some c -> c | None -> Io_ctx.default () in
   let { Io_ctx.faults; recorder; metrics; clock; batch = _; tuning } = ctx in
@@ -408,7 +402,7 @@ let serve_one_via ?ctx ?(lossy = Lossy.perfect) ?linger_ns ?idle_timeout_ns
   (* Wait for a geometry-carrying REQ; [accept_timeout_ns] bounds even this
      initial wait when the caller needs a guaranteed return. The sans-IO
      {!Flow} engine takes over from the REQ onwards; this loop only owns the
-     transport, the clock, and the loss coin. *)
+     transport and the clock. *)
   let accept_deadline = Option.map (fun ns -> clock () + ns) accept_timeout_ns in
   let rec await_flow () =
     let timeout_ns = Option.map (fun d -> d - clock ()) accept_deadline in
@@ -420,19 +414,13 @@ let serve_one_via ?ctx ?(lossy = Lossy.perfect) ?linger_ns ?idle_timeout_ns
         | `Garbage reason ->
             count_garbage ~probe counters reason;
             await_flow ()
-        | `Message (m, from) -> begin
-            if not (Lossy.pass_rx lossy) then begin
-              Obs.Probe.drop probe `Rx;
-              await_flow ()
-            end
-            else
-              match
-                Flow.create ?fallback_suite:suite ~tuning ?idle_timeout_ns ?linger_ns
-                  ~probe ~counters ~now:(clock ()) m
-              with
-              | Ok (flow, actions) -> `Flow (flow, actions, from)
-              | Error (`Not_a_req | `Bad_geometry) -> await_flow ()
-          end
+        | `Message (m, from) -> (
+            match
+              Flow.create ?fallback_suite:suite ~tuning ?idle_timeout_ns ?linger_ns
+                ~probe ~counters ~now:(clock ()) m
+            with
+            | Ok (flow, actions) -> `Flow (flow, actions, from)
+            | Error (`Not_a_req | `Bad_geometry) -> await_flow ())
       end
   in
   match await_flow () with
@@ -452,7 +440,7 @@ let serve_one_via ?ctx ?(lossy = Lossy.perfect) ?linger_ns ?idle_timeout_ns
       let execute actions =
         List.iter
           (fun (Flow.Transmit m) ->
-            transmit ?faults ~probe ~lossy ~transport ~peer:sender_address m)
+            transmit ?faults ~probe ~transport ~peer:sender_address m)
           actions;
         transport.Transport.flush ()
       in
@@ -473,11 +461,8 @@ let serve_one_via ?ctx ?(lossy = Lossy.perfect) ?linger_ns ?idle_timeout_ns
               | `Timeout -> execute (Flow.on_tick flow ~now:(clock ()))
               | `Garbage reason -> Flow.on_garbage flow ~now:(clock ()) reason
               | `Message (m, _) ->
-                  if Lossy.pass_rx lossy then begin
-                    if m.Packet.Message.transfer_id = Flow.transfer_id flow then
-                      execute (Flow.on_message flow ~now:(clock ()) m)
-                  end
-                  else Obs.Probe.drop probe `Rx);
+                  if m.Packet.Message.transfer_id = Flow.transfer_id flow then
+                    execute (Flow.on_message flow ~now:(clock ()) m));
               drive ()
             end
           end
@@ -489,9 +474,9 @@ let serve_one_via ?ctx ?(lossy = Lossy.perfect) ?linger_ns ?idle_timeout_ns
       transport.Transport.flush ();
       result_of_completion completion
 
-let serve_one ?ctx ?lossy ?linger_ns ?idle_timeout_ns ?accept_timeout_ns ?suite ~socket ()
+let serve_one ?ctx ?linger_ns ?idle_timeout_ns ?accept_timeout_ns ?suite ~socket ()
     =
   let ctx = match ctx with Some c -> c | None -> Io_ctx.default () in
   let transport = Transport.udp ~batch:ctx.Io_ctx.batch ~socket () in
-  serve_one_via ~ctx ?lossy ?linger_ns ?idle_timeout_ns ?accept_timeout_ns ?suite
+  serve_one_via ~ctx ?linger_ns ?idle_timeout_ns ?accept_timeout_ns ?suite
     ~transport ()

@@ -12,9 +12,10 @@
     travel in one {!Io_ctx.t} ([?ctx]); by default the context is empty with
     the monotonic clock, batching per the [LANREPRO_BATCH] knob, and
     {!Protocol.Tuning.wire_default}. Loopback never drops datagrams, so
-    faults are injected at the endpoints: {!Lossy} for plain iid loss, or a
-    {!Faults.Netem} (via [ctx.faults]) for the full adversarial pipeline —
-    bursts, duplication, reordering, bit flips, truncation, delay.
+    faults are injected at the endpoints: a {!Faults.Netem} (via
+    [ctx.faults]) runs each endpoint's outgoing datagrams through plain iid
+    loss ([Drop_iid p]) or the full adversarial pipeline — bursts,
+    duplication, reordering, bit flips, truncation, delay.
 
     {b Adaptive trains.} With [ctx.tuning = Adaptive _] the sender announces
     itself by stamping a budget onto its REQ (wire v2). A budget on the
@@ -67,7 +68,6 @@ type receive_result = {
 
 val send_via :
   ?ctx:Io_ctx.t ->
-  ?lossy:Lossy.t ->
   ?transfer_id:int ->
   ?packet_bytes:int ->
   ?rtt:Protocol.Rtt.t ->
@@ -88,7 +88,6 @@ val send_via :
 
 val send :
   ?ctx:Io_ctx.t ->
-  ?lossy:Lossy.t ->
   ?transfer_id:int ->
   ?packet_bytes:int ->
   ?rtt:Protocol.Rtt.t ->
@@ -123,7 +122,6 @@ val send :
 
 val serve_one_via :
   ?ctx:Io_ctx.t ->
-  ?lossy:Lossy.t ->
   ?linger_ns:int ->
   ?idle_timeout_ns:int ->
   ?accept_timeout_ns:int ->
@@ -137,7 +135,6 @@ val serve_one_via :
 
 val serve_one :
   ?ctx:Io_ctx.t ->
-  ?lossy:Lossy.t ->
   ?linger_ns:int ->
   ?idle_timeout_ns:int ->
   ?accept_timeout_ns:int ->

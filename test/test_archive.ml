@@ -131,8 +131,11 @@ let test_dump_over_udp_blast () =
             Sockets.Peer.send
               ~ctx:
                 (Sockets.Io_ctx.make
+                   ~faults:
+                     (Faults.Netem.create ~seed:9
+                        (Faults.Scenario.make ~name:"lossy"
+                           [ Faults.Scenario.Drop_iid 0.05 ]))
                    ~tuning:(Protocol.Tuning.fixed ~retransmit_ns:20_000_000 ()) ())
-              ~lossy:(Sockets.Lossy.create ~seed:9 ~tx_loss:0.05 ~rx_loss:0.0)
               ~socket:sender_socket ~peer:receiver_address
               ~suite:(Protocol.Suite.Multi_blast
                         { strategy = Protocol.Blast.Go_back_n; chunk_packets = 4 })

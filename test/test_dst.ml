@@ -392,6 +392,57 @@ let test_dst_reuse_exercises_supersede () =
   in
   Alcotest.(check bool) "supersede path exercised" true (total > 0)
 
+(* Golden digests: the journal and flowtrace MD5s of fixed trials, pinned
+   so a refactor of the engine or its hosts has to replay them byte for
+   byte, not just against itself. The flowtrace digest catches a changed
+   trace lane even where the journal stays equal. *)
+let golden_trials =
+  let default = Dst.Harness.default_config ~seed:1 in
+  [
+    ( "default",
+      default,
+      [
+        (1, "56572f9319c6129b1398ac51f51e4809", "a813ddc5d42a5b6d58f8cc56cd90026a");
+        (2, "27f2fdb67cca7dbc342218c5c5e404ce", "05d92c5a2977e64235cc0c5d72c36df3");
+        (3, "a4375829a5d55410e242a4e3f5b2e358", "fb1ebb2b839dfda87d7ce2a3ec4d2e36");
+        (4, "1810cdac4e9dabab418c005365b94117", "53227e974f762d58ed62ff10a6821e7a");
+        (5, "abc7ffe837b175f8b68443711112a979", "5ce955cf422c8756c48de323bed661b0");
+      ] );
+    ( "shards4",
+      { default with Dst.Harness.shards = 4 },
+      [
+        (500, "9b7f14250eeec03cb22e0dc47faf88f9", "fb011d853fdd7f56ccb2452b185eb733");
+        (501, "cab94b970fba3563a3717abaa7fd1ada", "09271fd5340f6b4ad4c98596389d6fb7");
+        (502, "2443833f0fb629c1c10904464dc9761a", "a47190deedba1f4a5c7a2364ea7fc9c2");
+      ] );
+    ( "adaptive",
+      {
+        default with
+        Dst.Harness.faults = Some Faults.Scenario.lossy2;
+        tuning = Protocol.Tuning.adaptive ~retransmit_ns:20_000_000 ~max_attempts:20 ();
+      },
+      [
+        (2000, "67361e004bd52c3523651323df2a2503", "705edae4bb2ef83530cb06a0cd7b59b8");
+        (2001, "8e17ce4c67e6dc99acec804d53e6982b", "a6c145f9887dd092a1e8778d28829c4e");
+        (2002, "282811be0993b4ceb6188e9a52f3ac3c", "bb12da1d99a1e0121001bd8a68fdfe34");
+      ] );
+  ]
+
+let test_dst_golden_digests () =
+  List.iter
+    (fun (name, cfg, pins) ->
+      let trials = Dst.Harness.run_seeds ~jobs:1 cfg ~seeds:(List.map (fun (s, _, _) -> s) pins) in
+      List.iter2
+        (fun (seed, journal, flowtrace) (t : Dst.Harness.trial) ->
+          Alcotest.(check string) (Printf.sprintf "%s seed %d journal" name seed) journal
+            t.Dst.Harness.digest;
+          Alcotest.(check string)
+            (Printf.sprintf "%s seed %d flowtrace" name seed)
+            flowtrace
+            (Digest.to_hex (Digest.string t.Dst.Harness.flowtrace)))
+        pins trials)
+    golden_trials
+
 let () =
   Alcotest.run "dst"
     [
@@ -421,5 +472,6 @@ let () =
             test_dst_adaptive_jobs_invariant;
           Alcotest.test_case "reuse churn hits supersede" `Quick
             test_dst_reuse_exercises_supersede;
+          Alcotest.test_case "journals match golden digests" `Quick test_dst_golden_digests;
         ] );
     ]

@@ -80,8 +80,16 @@ let test_drop_all () =
   in
   let out = emissions_of netem (List.init 50 sample_datagram) in
   Alcotest.(check int) "nothing emitted" 0 (List.length out);
-  Alcotest.(check int) "all counted" 50 (F.Netem.stats netem).F.Netem.dropped;
-  Alcotest.(check bool) "drops coin agrees" true (F.Netem.drops netem)
+  Alcotest.(check int) "all counted" 50 (F.Netem.stats netem).F.Netem.dropped
+
+let test_drop_half () =
+  let netem =
+    F.Netem.create ~seed:1 (F.Scenario.make ~name:"lossy" [ F.Scenario.Drop_iid 0.5 ])
+  in
+  let datagrams = List.init 1000 (fun i -> sample_datagram (i mod 64)) in
+  let passed = List.length (emissions_of netem datagrams) in
+  Alcotest.(check bool) "about half pass" true (passed > 400 && passed < 600);
+  Alcotest.(check int) "drop count" (1000 - passed) (F.Netem.stats netem).F.Netem.dropped
 
 let test_duplicate_all () =
   let netem =
@@ -402,6 +410,7 @@ let () =
         [
           Alcotest.test_case "deterministic replay" `Quick test_determinism;
           Alcotest.test_case "drop everything" `Quick test_drop_all;
+          Alcotest.test_case "drop half, iid" `Quick test_drop_half;
           Alcotest.test_case "duplicate everything" `Quick test_duplicate_all;
           Alcotest.test_case "single-bit flips detected" `Quick
             test_corrupt_single_bit_always_detected;

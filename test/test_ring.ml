@@ -343,19 +343,41 @@ let test_ring_dst_jobs_invariant () =
   Alcotest.(check (list string)) "same digests at jobs=1 and jobs=4" (digests 1)
     (digests 4)
 
+(* Golden digests: the ring trial's journal pinned, so a refactor of the
+   engine or its hosts has to replay it byte for byte. *)
+let test_ring_dst_golden_digests () =
+  let pins =
+    [
+      (1, "68ea02b2518e8f23b51da4111d0f7d7c");
+      (2, "36e1e0fa813a8a056fb3c41badc36f95");
+      (3, "9dc0d426dbef9c06c388ab01e1484f2e");
+    ]
+  in
+  let trials =
+    Dst.Ring_sim.run_seeds ~jobs:1 (Dst.Ring_sim.default_config ~seed:1)
+      ~seeds:(List.map fst pins)
+  in
+  List.iter2
+    (fun (seed, digest) (t : Dst.Ring_sim.trial) ->
+      Alcotest.(check string) (Printf.sprintf "seed %d journal" seed) digest
+        t.Dst.Ring_sim.digest)
+    pins trials
+
 (* --------------------------------------------------------- real-UDP fleet *)
 
 let test_fleet_put_kill_repair () =
   let seed = 6 in
-  let fleet = Ring.Fleet.create ~servers:3 ~seed () in
-  Ring.Fleet.start fleet;
+  let fleet =
+    Server.Group.create ~binding:Server.Group.Own_ports ~members:3 ~seed ()
+  in
+  Server.Group.start fleet;
   Fun.protect
     ~finally:(fun () ->
-      Ring.Fleet.stop fleet;
-      Ring.Fleet.join fleet)
+      Server.Group.stop fleet;
+      Server.Group.join fleet)
     (fun () ->
-      let placement = Ring.Fleet.placement ~seed fleet in
-      let peer_of = Ring.Fleet.peer_of fleet in
+      let placement = Ring.Placement.create ~seed (Server.Group.alive fleet) in
+      let peer_of = Server.Group.address fleet in
       let data = String.init 16_384 (fun i -> Char.chr ((i * 131) land 0xff)) in
       let put =
         Ring.Client.put
@@ -365,17 +387,17 @@ let test_fleet_put_kill_repair () =
       in
       Alcotest.(check bool) "write quorum met" true put.Ring.Client.quorum_met;
       (* The fleet's merged snapshot sees every stripe replica. *)
-      let snap = Ring.Fleet.snapshot fleet in
+      let snap = Server.Group.snapshot fleet in
       (match Obs.Json.member "manifest_stripes" snap with
       | Some j ->
           Alcotest.(check (option int)) "fleet manifest covers the plan" (Some 8)
             (Obs.Json.to_int j)
       | None -> Alcotest.fail "merged snapshot lacks manifest_stripes");
       (* Kill one member for good; repair re-homes its stripes. *)
-      Ring.Fleet.kill fleet 0;
+      Server.Group.kill fleet 0;
       Alcotest.(check (list int)) "members 1 and 2 live" [ 1; 2 ]
-        (Ring.Fleet.alive fleet);
-      let live = Ring.Fleet.live_placement ~seed fleet in
+        (Server.Group.alive fleet);
+      let live = Ring.Placement.create ~seed (Server.Group.alive fleet) in
       let report =
         Ring.Repair.run
           ~tuning:(Protocol.Tuning.fixed ~retransmit_ns:10_000_000 ~max_attempts:5 ())
@@ -386,7 +408,7 @@ let test_fleet_put_kill_repair () =
       Alcotest.(check bool) "repair restores full replication" true
         report.Ring.Repair.fully_replicated;
       Alcotest.(check (list string)) "fleet invariants" []
-        (Ring.Fleet.invariant_violations fleet))
+        (Server.Group.invariant_violations fleet))
 
 let () =
   Alcotest.run "ring"
@@ -435,6 +457,8 @@ let () =
             test_ring_dst_every_scenario;
           Alcotest.test_case "digests invariant under jobs" `Quick
             test_ring_dst_jobs_invariant;
+          Alcotest.test_case "journals match golden digests" `Quick
+            test_ring_dst_golden_digests;
         ] );
       ( "fleet",
         [

@@ -6,12 +6,14 @@
    would depend on shard enumeration order. Inputs are small integers so
    float sums are exact and equality is honest.
 
-   The reconciliation tests then run a real [Server.Shard_group] — live and
+   The reconciliation tests then run a real [Server.Group] — live and
    post-run — and check the aggregated [lanrepro-stat/1] snapshot is the sum
    of the per-shard snapshots, which is also what the swarm's merged report
-   must agree with. The memnet tests pin explicit REUSEPORT-style steering:
-   deterministic placement by source address, slots that vacate on close and
-   rebind on restart. Finally the engine-idle tests pin the epoll loop's
+   must agree with. The group tests pin its binding rules: a group of one is
+   the lone engine (no REUSEPORT, no lane prefix), and [kill] is a group
+   operation the survivors absorb. The memnet tests pin explicit
+   REUSEPORT-style steering: deterministic placement by source address,
+   slots that vacate on close and rebind on restart. Finally the engine-idle tests pin the epoll loop's
    no-busy-wait contract: an idle engine parks instead of ticking, and
    [stop] wakes it promptly. *)
 
@@ -186,21 +188,132 @@ let test_sharded_swarm_reconciles () =
    idle hook (request flag + wake), so a snapshot costs no data-path time
    and never reports an idle shard unresponsive. *)
 let test_live_group_snapshot () =
-  let group = Server.Shard_group.create ~shards:2 ~seed:9 () in
-  Server.Shard_group.start group;
+  let group =
+    Server.Group.create ~binding:Server.Group.Shared_port ~members:2 ~seed:9 ()
+  in
+  Server.Group.start group;
   Fun.protect
     ~finally:(fun () ->
-      Server.Shard_group.stop group;
-      Server.Shard_group.join group)
+      Server.Group.stop group;
+      Server.Group.join group)
     (fun () ->
-      let snap = Server.Shard_group.snapshot group in
+      let snap = Server.Group.snapshot group in
       Alcotest.(check int) "both shards answered" 0
         (json_int [ "shards_unresponsive" ] snap);
       Alcotest.(check int) "no flows yet" 0 (json_int [ "active_flows" ] snap);
       let answered =
-        List.filter Option.is_some (Server.Shard_group.shard_snapshots group)
+        List.filter Option.is_some (Server.Group.member_snapshots group)
       in
       Alcotest.(check int) "per-shard snapshots all arrive" 2 (List.length answered))
+
+(* ----------------------------------------------------------- group rules *)
+
+let send_one ~peer ~seed =
+  let socket, _ = Sockets.Udp.create_socket () in
+  Fun.protect
+    ~finally:(fun () -> Sockets.Udp.close socket)
+    (fun () ->
+      let rng = Stats.Rng.create ~seed in
+      let data = String.init 8192 (fun _ -> Char.chr (Stats.Rng.int rng 256)) in
+      (Sockets.Peer.send
+         ~ctx:
+           (Sockets.Io_ctx.make
+              ~tuning:(Protocol.Tuning.fixed ~retransmit_ns:20_000_000 ())
+              ())
+         ~socket ~peer
+         ~suite:(Protocol.Suite.Blast Protocol.Blast.Go_back_n)
+         ~data ())
+        .Sockets.Peer.outcome)
+
+let flow_labels flowtrace =
+  List.sort_uniq compare
+    (List.map (fun r -> r.Obs.Flowtrace.flow) (Obs.Flowtrace.records flowtrace))
+
+let starts_with prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+(* A group of one is the lone engine: its port is held without
+   SO_REUSEPORT, so no second server can join it, and its flows trace on
+   unprefixed lanes. *)
+let test_group_of_one_is_the_lone_engine () =
+  let flowtrace = Obs.Flowtrace.create () in
+  let group =
+    Server.Group.create ~flowtrace ~binding:Server.Group.Shared_port ~members:1 ()
+  in
+  Server.Group.start group;
+  Fun.protect
+    ~finally:(fun () ->
+      Server.Group.stop group;
+      Server.Group.join group)
+    (fun () ->
+      let port = Server.Group.port group 0 in
+      (match Sockets.Udp.create_socket ~port ~reuseport:true () with
+      | socket, _ ->
+          Sockets.Udp.close socket;
+          Alcotest.fail "a reuseport bind joined a group of one"
+      | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ());
+      Alcotest.(check bool) "a transfer completes" true
+        (send_one ~peer:(Server.Group.address group 0) ~seed:1 = Protocol.Action.Success));
+  let labels = flow_labels flowtrace in
+  Alcotest.(check bool) "the flow was traced" true (labels <> []);
+  List.iter
+    (fun label ->
+      Alcotest.(check bool)
+        (Printf.sprintf "lane %s carries no prefix" label)
+        true
+        (starts_with "127.0.0.1:" label))
+    labels
+
+(* Two shards on one port: killing one leaves the port served by the
+   survivor, which the kernel's REUSEPORT hash now picks for every flow. *)
+let test_shared_port_kill_leaves_survivor () =
+  let flowtrace = Obs.Flowtrace.create () in
+  let group =
+    Server.Group.create ~flowtrace ~binding:Server.Group.Shared_port ~members:2 ()
+  in
+  Server.Group.start group;
+  Fun.protect
+    ~finally:(fun () ->
+      Server.Group.stop group;
+      Server.Group.join group)
+    (fun () ->
+      Server.Group.kill group 0;
+      Alcotest.(check (list int)) "shard 1 alone is alive" [ 1 ] (Server.Group.alive group);
+      Alcotest.(check bool) "a fresh send to the port succeeds" true
+        (send_one ~peer:(Server.Group.address group 0) ~seed:2 = Protocol.Action.Success));
+  Alcotest.(check (list string)) "group invariants" []
+    (Server.Group.invariant_violations group);
+  List.iter
+    (fun label ->
+      Alcotest.(check bool)
+        (Printf.sprintf "lane %s is the survivor's" label)
+        true (starts_with "s1:" label))
+    (flow_labels flowtrace)
+
+let test_group_kill_idempotent_start_once () =
+  let group = Server.Group.create ~binding:Server.Group.Own_ports ~members:2 () in
+  Server.Group.start group;
+  Fun.protect
+    ~finally:(fun () ->
+      Server.Group.stop group;
+      Server.Group.join group)
+    (fun () ->
+      Server.Group.kill group 1;
+      (* The socket opened next takes the lowest free descriptor — the one
+         the kill released — so a second kill that closed it again would
+         break this unrelated socket. *)
+      let bystander, _ = Sockets.Udp.create_socket () in
+      Server.Group.kill group 1;
+      Alcotest.(check bool) "a second kill closes nothing" true
+        (match Unix.getsockname bystander with
+        | _ -> true
+        | exception Unix.Unix_error (Unix.EBADF, _, _) -> false);
+      Sockets.Udp.close bystander;
+      Alcotest.(check (list int)) "member 0 alone is alive" [ 0 ] (Server.Group.alive group);
+      Alcotest.check_raises "a second start raises"
+        (Invalid_argument "Group.start: already started") (fun () ->
+          Server.Group.start group))
 
 (* ---------------------------------------------------- memnet shard steering *)
 
@@ -359,6 +472,15 @@ let () =
             test_sharded_swarm_reconciles;
           Alcotest.test_case "live group snapshot via idle hook" `Quick
             test_live_group_snapshot;
+        ] );
+      ( "group",
+        [
+          Alcotest.test_case "a group of one is the lone engine" `Quick
+            test_group_of_one_is_the_lone_engine;
+          Alcotest.test_case "shared-port kill leaves the survivor" `Quick
+            test_shared_port_kill_leaves_survivor;
+          Alcotest.test_case "kill is idempotent; start once" `Quick
+            test_group_kill_idempotent_start_once;
         ] );
       ( "memnet-steering",
         [

@@ -4,7 +4,13 @@
 
 let random_data rng n = String.init n (fun _ -> Char.chr (Stats.Rng.int rng 256))
 
-let transfer ?lossy_sender ?lossy_receiver ?(packet_bytes = 1024) ?(retransmit_ns = 20_000_000)
+(* Endpoint loss: iid drops on one endpoint's outgoing datagrams. *)
+let drop_iid ~seed p =
+  Faults.Netem.create ~seed (Faults.Scenario.make ~name:"lossy" [ Faults.Scenario.Drop_iid p ])
+
+let dropped netem = (Faults.Netem.stats netem).Faults.Netem.dropped
+
+let transfer ?sender_faults ?receiver_faults ?(packet_bytes = 1024) ?(retransmit_ns = 20_000_000)
     ?tuning ?receiver_tuning ~suite ~data () =
   let receiver_socket, receiver_address = Sockets.Udp.create_socket () in
   let sender_socket, _ = Sockets.Udp.create_socket () in
@@ -16,8 +22,8 @@ let transfer ?lossy_sender ?lossy_receiver ?(packet_bytes = 1024) ?(retransmit_n
   let receiver_tuning =
     match receiver_tuning with Some t -> t | None -> sender_tuning
   in
-  let ctx_of t = Sockets.Io_ctx.make ~tuning:t () in
-  let ctx = ctx_of sender_tuning in
+  let ctx_of ?faults t = Sockets.Io_ctx.make ?faults ~tuning:t () in
+  let ctx = ctx_of ?faults:sender_faults sender_tuning in
   let received = ref None in
   let receiver_error = ref None in
   let thread =
@@ -26,8 +32,9 @@ let transfer ?lossy_sender ?lossy_receiver ?(packet_bytes = 1024) ?(retransmit_n
         try
           received :=
             Some
-              (Sockets.Peer.serve_one ~ctx:(ctx_of receiver_tuning)
-                 ?lossy:lossy_receiver ~socket:receiver_socket ~suite ())
+              (Sockets.Peer.serve_one
+                 ~ctx:(ctx_of ?faults:receiver_faults receiver_tuning)
+                 ~socket:receiver_socket ~suite ())
         with exn -> receiver_error := Some exn)
       ()
   in
@@ -38,15 +45,15 @@ let transfer ?lossy_sender ?lossy_receiver ?(packet_bytes = 1024) ?(retransmit_n
         Sockets.Udp.close receiver_socket;
         Sockets.Udp.close sender_socket)
       (fun () ->
-        Sockets.Peer.send ~ctx ?lossy:lossy_sender ~packet_bytes
+        Sockets.Peer.send ~ctx ~packet_bytes
           ~socket:sender_socket ~peer:receiver_address ~suite ~data ())
   in
   (match !receiver_error with Some exn -> raise exn | None -> ());
   (result, Option.get !received)
 
-let check_roundtrip ?lossy_sender ?lossy_receiver ?packet_bytes ~suite ~data () =
+let check_roundtrip ?sender_faults ?receiver_faults ?packet_bytes ~suite ~data () =
   let send_result, receive_result =
-    transfer ?lossy_sender ?lossy_receiver ?packet_bytes ~suite ~data ()
+    transfer ?sender_faults ?receiver_faults ?packet_bytes ~suite ~data ()
   in
   Alcotest.(check bool)
     (Protocol.Suite.name suite ^ " completes")
@@ -106,8 +113,9 @@ let test_lossy_sender_side () =
   List.iter
     (fun suite ->
       let data = random_data rng 20_000 in
-      let lossy_sender = Sockets.Lossy.create ~seed:42 ~tx_loss:0.1 ~rx_loss:0.05 in
-      check_roundtrip ~lossy_sender ~suite ~data ())
+      (* The sender's 5% receive loss is now the receiver's transmit loss. *)
+      check_roundtrip ~sender_faults:(drop_iid ~seed:42 0.1)
+        ~receiver_faults:(drop_iid ~seed:43 0.05) ~suite ~data ())
     [
       Protocol.Suite.Blast Protocol.Blast.Go_back_n;
       Protocol.Suite.Blast Protocol.Blast.Selective;
@@ -117,17 +125,17 @@ let test_lossy_sender_side () =
 let test_lossy_both_sides_retransmits () =
   let rng = Stats.Rng.create ~seed:6 in
   let data = random_data rng 30_000 in
-  let lossy_sender = Sockets.Lossy.create ~seed:7 ~tx_loss:0.15 ~rx_loss:0.0 in
-  let lossy_receiver = Sockets.Lossy.create ~seed:8 ~tx_loss:0.15 ~rx_loss:0.0 in
+  let sender_faults = drop_iid ~seed:7 0.15 in
+  let receiver_faults = drop_iid ~seed:8 0.15 in
   let send_result, receive_result =
-    transfer ~lossy_sender ~lossy_receiver
+    transfer ~sender_faults ~receiver_faults
       ~suite:(Protocol.Suite.Blast Protocol.Blast.Go_back_n) ~data ()
   in
   Alcotest.(check bool) "completes" true
     (send_result.Sockets.Peer.outcome = Protocol.Action.Success);
   Alcotest.(check bool) "data intact" true (String.equal data receive_result.Sockets.Peer.data);
   Alcotest.(check bool) "losses actually injected" true
-    (Sockets.Lossy.dropped lossy_sender > 0 || Sockets.Lossy.dropped lossy_receiver > 0);
+    (dropped sender_faults > 0 || dropped receiver_faults > 0);
   Alcotest.(check bool) "retransmissions happened" true
     (send_result.Sockets.Peer.counters.Protocol.Counters.retransmitted_data > 0)
 
@@ -146,15 +154,6 @@ let test_empty_data_rejected () =
           ignore
             (Sockets.Peer.send ~socket ~peer:address
                ~suite:(Protocol.Suite.Blast Protocol.Blast.Go_back_n) ~data:"" ())))
-
-let test_lossy_statistics () =
-  let lossy = Sockets.Lossy.create ~seed:1 ~tx_loss:0.5 ~rx_loss:0.0 in
-  let passed = ref 0 in
-  for _ = 1 to 1000 do
-    if Sockets.Lossy.pass_tx lossy then incr passed
-  done;
-  Alcotest.(check bool) "about half pass" true (!passed > 400 && !passed < 600);
-  Alcotest.(check int) "drop count" (1000 - !passed) (Sockets.Lossy.dropped lossy)
 
 let test_geometry_roundtrip () =
   let m = Packet.Message.req_with_geometry ~transfer_id:9 ~packet_bytes:512 ~total_bytes:5_000 in
@@ -184,7 +183,6 @@ let main_suites =
         [
           Alcotest.test_case "sender-side loss" `Quick test_lossy_sender_side;
           Alcotest.test_case "both sides lossy" `Quick test_lossy_both_sides_retransmits;
-          Alcotest.test_case "loss statistics" `Quick test_lossy_statistics;
         ] );
     ]
 
@@ -358,9 +356,9 @@ let test_adaptive_lossy_roundtrip () =
     Protocol.Tuning.adaptive ~retransmit_ns:20_000_000
       ~pacing:Protocol.Tuning.Rtt_spread ()
   in
-  let lossy_sender = Sockets.Lossy.create ~seed:73 ~tx_loss:0.08 ~rx_loss:0.0 in
+  let sender_faults = drop_iid ~seed:73 0.08 in
   let send_result, receive_result =
-    transfer ~tuning ~lossy_sender
+    transfer ~tuning ~sender_faults
       ~suite:(Protocol.Suite.Blast Protocol.Blast.Selective) ~data ()
   in
   Alcotest.(check bool) "success under loss" true
@@ -369,7 +367,7 @@ let test_adaptive_lossy_roundtrip () =
   Alcotest.(check bool) "data intact" true
     (String.equal data receive_result.Sockets.Peer.data);
   Alcotest.(check bool) "losses actually injected" true
-    (Sockets.Lossy.dropped lossy_sender > 0)
+    (dropped sender_faults > 0)
 
 let test_adaptive_honored_by_fixed_receiver () =
   (* A receiver pinned to fixed tuning still obliges a budget-stamped REQ:
