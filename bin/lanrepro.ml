@@ -542,13 +542,35 @@ let port = Arg.(value & opt int 47085 & info [ "port" ] ~doc:"UDP port.")
 let tx_loss =
   Arg.(value & opt float 0.0 & info [ "inject-loss" ] ~doc:"Probability of dropping each outgoing datagram (testing aid).")
 
+(* A flag outside its range is a usage error, reported before any side
+   effect: [<cmd>: --<flag> must be ...] and exit 2. *)
+let require ~cmd ~flag ok ~must_be =
+  if not ok then begin
+    Printf.eprintf "%s: --%s must be %s\n" cmd flag must_be;
+    exit 2
+  end
+
+let require_positive ~cmd ~flag n = require ~cmd ~flag (n > 0) ~must_be:"positive"
+
+let require_packet_bytes ~cmd n =
+  require ~cmd ~flag:"packet-bytes" (n >= 1 && n <= Sockets.Flow.max_packet_bytes)
+    ~must_be:(Printf.sprintf "in [1, %d]" Sockets.Flow.max_packet_bytes)
+
+let resolve_scenario = function
+  | None -> None
+  | Some name -> begin
+      match Faults.Scenario.find name with
+      | Some s -> Some s
+      | None ->
+          Printf.eprintf "unknown scenario %S (known: %s)\n" name
+            (String.concat ", " (List.map Faults.Scenario.name Faults.Scenario.all));
+          exit 2
+    end
+
 (* [--inject-loss p] as the endpoint's fault pipeline: an iid drop on every
    outgoing datagram, journaled and counted like any other Netem fault. *)
 let loss_faults ~cmd ~seed loss =
-  if not (loss >= 0.0 && loss <= 1.0) then begin
-    Printf.eprintf "%s: --inject-loss must be in [0, 1]\n" cmd;
-    exit 2
-  end;
+  require ~cmd ~flag:"inject-loss" (loss >= 0.0 && loss <= 1.0) ~must_be:"in [0, 1]";
   if loss = 0.0 then None
   else
     Some
@@ -557,6 +579,7 @@ let loss_faults ~cmd ~seed loss =
 
 let send_cmd =
   let run protocol host port file size loss seed adaptive batch tuning trace_out metrics_out =
+    if file = None then require_positive ~cmd:"send" ~flag:"size" size;
     let faults = loss_faults ~cmd:"send" ~seed loss in
     let data =
       match file with
@@ -700,20 +723,12 @@ let restore_cmd =
 
 let chaos_cmd =
   let run iters seed bytes scenario_names suite_names jobs trace_out metrics_out =
+    require_positive ~cmd:"chaos" ~flag:"size" bytes;
     let jobs = effective_jobs jobs in
     let scenarios =
       match scenario_names with
       | [] -> Faults.Scenario.all
-      | names ->
-          List.map
-            (fun name ->
-              match Faults.Scenario.find name with
-              | Some s -> s
-              | None ->
-                  Printf.eprintf "unknown scenario %S (known: %s)\n" name
-                    (String.concat ", " (List.map Faults.Scenario.name Faults.Scenario.all));
-                  exit 2)
-            names
+      | names -> List.filter_map (fun name -> resolve_scenario (Some name)) names
     in
     let suites =
       match suite_names with
@@ -834,17 +849,6 @@ let string_of_sockaddr = function
       Printf.sprintf "%s:%d" (Unix.string_of_inet_addr address) port
   | Unix.ADDR_UNIX path -> path
 
-let resolve_scenario = function
-  | None -> None
-  | Some name -> begin
-      match Faults.Scenario.find name with
-      | Some s -> Some s
-      | None ->
-          Printf.eprintf "unknown scenario %S (known: %s)\n" name
-            (String.concat ", " (List.map Faults.Scenario.name Faults.Scenario.all));
-          exit 2
-    end
-
 let max_flows =
   Arg.(
     value
@@ -920,15 +924,8 @@ let scenario_name option_name ~doc =
 let serve_cmd =
   let run port max_flows scenario_name seed max_transfers batch tuning trace_out
       metrics_out admin_port stats_interval stats_out shards =
-    if shards <= 0 then begin
-      Printf.eprintf "serve: --shards must be positive\n";
-      exit 2
-    end;
-    (match max_transfers with
-    | Some n when n <= 0 ->
-        Printf.eprintf "serve: --max-transfers must be positive\n";
-        exit 2
-    | _ -> ());
+    require_positive ~cmd:"serve" ~flag:"shards" shards;
+    Option.iter (require_positive ~cmd:"serve" ~flag:"max-transfers") max_transfers;
     let scenario = resolve_scenario scenario_name in
     let tuning = resolve_tuning ~default:Protocol.Tuning.wire_default tuning in
     let recorder, metrics, flush = telemetry trace_out metrics_out in
@@ -1016,6 +1013,9 @@ let serve_cmd =
 let swarm_cmd =
   let run flows max_flows jobs size packet_bytes protocol scenario_name server_scenario_name
       seed batch tuning trace_out metrics_out admin_port stats_interval stats_out shards =
+    require_positive ~cmd:"swarm" ~flag:"flows" flows;
+    require_positive ~cmd:"swarm" ~flag:"size" size;
+    require_packet_bytes ~cmd:"swarm" packet_bytes;
     let scenario = resolve_scenario scenario_name in
     let server_scenario = resolve_scenario server_scenario_name in
     let tuning =
@@ -1067,6 +1067,8 @@ let swarm_cmd =
 let dst_cmd =
   let run seed seeds churn fault_name senders transfers max_flows shards until_virtual_s
       jobs tuning journal_dir =
+    require_positive ~cmd:"dst" ~flag:"senders" senders;
+    require_positive ~cmd:"dst" ~flag:"transfers" transfers;
     let churn =
       match Dst.Harness.churn_of_string churn with
       | Some c -> c
@@ -1290,10 +1292,9 @@ let ring_put_cmd =
   let run servers stripes replicas quorum bytes packet_bytes retransmit_ms max_attempts
       base_port object_id seed kill no_repair hold_s admin_port jobs =
     ring_validate ~servers ~stripes ~replicas ~quorum ~bytes;
-    if kill && servers < 2 then begin
-      Printf.eprintf "ring: --kill needs at least two servers\n";
-      exit 2
-    end;
+    require_packet_bytes ~cmd:"ring-put" packet_bytes;
+    require ~cmd:"ring-put" ~flag:"kill" ((not kill) || servers >= 2)
+      ~must_be:"used with at least two servers";
     let fleet =
       Server.Group.create ~port:base_port ~seed ?admin_port ~binding:Server.Group.Own_ports
         ~members:servers ()
@@ -1418,10 +1419,8 @@ let ring_put_cmd =
 let ring_repair_cmd =
   let run servers base_port dead bytes stripes replicas object_id seed jobs =
     ring_validate ~servers ~stripes ~replicas ~quorum:replicas ~bytes;
-    if base_port <= 0 then begin
-      Printf.eprintf "ring-repair: --base-port is required (the ring's first port)\n";
-      exit 2
-    end;
+    require ~cmd:"ring-repair" ~flag:"base-port" (base_port > 0)
+      ~must_be:"given (the ring's first port)";
     let dead =
       match dead with
       | "" -> []

@@ -6,8 +6,8 @@
     never suffer bucket rounding at the extremes. Every operation takes the
     instance mutex, so one histogram may be fed from several domains
     (engine shards roll up via {!merge}). Unlike {!Stats.Summary} this
-    reports p50/p90/p99 rather than mean-only, and unlike
-    {!Stats.Histogram} it is self-locking and mergeable. *)
+    reports p50/p90/p99 rather than mean-only; it backs every histogram in
+    {!Metrics}. *)
 
 type t
 

@@ -1,10 +1,10 @@
 (* Counters and gauges are lock-free atomics so concurrent domains can
    publish without contending on the registry lock and without losing
-   updates; histograms and summaries mutate multi-word state, so each
-   carries its own mutex. *)
+   updates; histograms lock themselves ({!Hist}), and summaries mutate
+   multi-word state, so each carries its own mutex. *)
 type counter = int Atomic.t
 type gauge = float Atomic.t
-type histogram = { histogram : Stats.Histogram.t; histogram_lock : Mutex.t }
+type histogram = Hist.t
 type summary = { summary : Stats.Summary.t; summary_lock : Mutex.t }
 
 type instrument =
@@ -68,24 +68,12 @@ let gauge t ?(labels = []) name =
 let set_gauge g v = Atomic.set g v
 let gauge_value g = Atomic.get g
 
-let histogram t ?(labels = []) ?(log = false) ~lo ~hi ~bins name =
-  let build () =
-    Histogram
-      {
-        histogram =
-          (if log then Stats.Histogram.logarithmic ~lo ~hi ~bins
-           else Stats.Histogram.linear ~lo ~hi ~bins);
-        histogram_lock = Mutex.create ();
-      }
-  in
-  match register t ~labels name build with
+let histogram t ?(labels = []) name =
+  match register t ~labels name (fun () -> Histogram (Hist.create ())) with
   | Histogram h -> h
   | _ -> invalid_arg (Printf.sprintf "Metrics: %S is not a histogram" name)
 
-let observe h v =
-  Mutex.lock h.histogram_lock;
-  Stats.Histogram.add h.histogram v;
-  Mutex.unlock h.histogram_lock
+let observe = Hist.add
 
 let summary t ?(labels = []) name =
   match
@@ -141,12 +129,8 @@ let to_table t =
           | Counter c -> string_of_int (Atomic.get c)
           | Gauge g -> float_repr (Atomic.get g)
           | Histogram h ->
-              Mutex.lock h.histogram_lock;
-              Fun.protect ~finally:(fun () -> Mutex.unlock h.histogram_lock) (fun () ->
-                  Printf.sprintf "count=%d p50=%s p99=%s"
-                    (Stats.Histogram.count h.histogram)
-                    (float_repr (Stats.Histogram.quantile h.histogram 0.5))
-                    (float_repr (Stats.Histogram.quantile h.histogram 0.99)))
+              let { Hist.count; p50; p99; _ } = Hist.snapshot h in
+              Printf.sprintf "count=%d p50=%s p99=%s" count (float_repr p50) (float_repr p99)
           | Summary s ->
               Mutex.lock s.summary_lock;
               Fun.protect ~finally:(fun () -> Mutex.unlock s.summary_lock) (fun () ->
@@ -182,12 +166,9 @@ let to_json t =
       | Counter c -> [ ("value", Json.Int (Atomic.get c)) ]
       | Gauge g -> [ ("value", Json.Float (Atomic.get g)) ]
       | Histogram h ->
-          Mutex.lock h.histogram_lock;
-          Fun.protect ~finally:(fun () -> Mutex.unlock h.histogram_lock) (fun () ->
-              [ ("count", Json.Int (Stats.Histogram.count h.histogram));
-                ("p50", Json.Float (Stats.Histogram.quantile h.histogram 0.5));
-                ("p90", Json.Float (Stats.Histogram.quantile h.histogram 0.9));
-                ("p99", Json.Float (Stats.Histogram.quantile h.histogram 0.99)) ])
+          let { Hist.count; p50; p90; p99; _ } = Hist.snapshot h in
+          [ ("count", Json.Int count); ("p50", Json.Float p50); ("p90", Json.Float p90);
+            ("p99", Json.Float p99) ]
       | Summary s ->
           Mutex.lock s.summary_lock;
           Fun.protect ~finally:(fun () -> Mutex.unlock s.summary_lock) (fun () ->

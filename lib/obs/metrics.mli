@@ -2,9 +2,9 @@
     publishes through.
 
     Counters and gauges are registered on first use and shared on every later
-    lookup of the same (name, labels) pair; histograms wrap
-    {!Stats.Histogram} and summaries {!Stats.Summary}, so the statistical
-    machinery the campaigns already use feeds the same snapshots. A
+    lookup of the same (name, labels) pair; histograms are {!Hist} and
+    summaries wrap {!Stats.Summary}, so the statistical machinery the
+    campaigns already use feeds the same snapshots. A
     {!Protocol.Counters.t} record bridges in wholesale via {!add_counters},
     which is how protocol machines, [Simnet.Driver], [Sockets.Peer] and the
     chaos soak all land in one registry. Snapshots render as an aligned text
@@ -36,17 +36,9 @@ val gauge : t -> ?labels:(string * string) list -> string -> gauge
 val set_gauge : gauge -> float -> unit
 val gauge_value : gauge -> float
 
-val histogram :
-  t ->
-  ?labels:(string * string) list ->
-  ?log:bool ->
-  lo:float ->
-  hi:float ->
-  bins:int ->
-  string ->
-  histogram
-(** The bin geometry is fixed by the first registration; later lookups
-    return the same histogram and ignore the geometry arguments. *)
+val histogram : t -> ?labels:(string * string) list -> string -> histogram
+(** A {!Hist.t} with the default geometry (100 ns … 1000 s); snapshots
+    report its count, p50, p90 and p99. *)
 
 val observe : histogram -> float -> unit
 (** Records one observation, under the instrument's lock. *)

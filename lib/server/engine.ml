@@ -38,60 +38,21 @@ type completion_event = {
   finished_ns : int;
 }
 
-(* Loop health: where the serving thread's time goes, observed from inside
-   the loop itself. Tick duration deliberately excludes the blocking wait —
-   it measures work, not idleness — so its p99 is the number that degrades
-   when the single-domain loop saturates. *)
-type health = {
+type health = Sockets.Loop.health = {
   tick_duration_ns : Obs.Hist.t;
-  recv_drained : Obs.Hist.t;  (** datagrams consumed per wakeup that had any *)
-  flush_train : Obs.Hist.t;  (** datagrams sent per non-empty flush point *)
+  recv_drained : Obs.Hist.t;
+  flush_train : Obs.Hist.t;
   timer_heap_depth : Obs.Hist.t;
   mutable ticks : int;
   mutable drain_exhausted : int;
-      (** wakeups that consumed the whole drain budget — backlog evidence *)
   mutable last_drain_exhausted : int;
-      (** [drain_exhausted] at the previous budget advert — a fresh
-          exhaustion since then reads as live socket pressure *)
   mutable spurious_wakeups : int;
-      (** wakeups that found nothing: no datagram, no due timer — the waste
-          the derived wait eliminates (capped waits show up here at ~20/s
-          idle) *)
 }
-
-let create_health () =
-  {
-    tick_duration_ns = Obs.Hist.create ();
-    recv_drained = Obs.Hist.create ~lo:1. ~hi:1e6 ~bins:120 ();
-    flush_train = Obs.Hist.create ~lo:1. ~hi:1e6 ~bins:120 ();
-    timer_heap_depth = Obs.Hist.create ~lo:1. ~hi:1e6 ~bins:120 ();
-    ticks = 0;
-    drain_exhausted = 0;
-    last_drain_exhausted = 0;
-    spurious_wakeups = 0;
-  }
-
-(* Shard roll-up: histograms merge under their own locks (safe while the
-   source engine is still serving), plain counters add. *)
-let merge_health ~into src =
-  Obs.Hist.merge ~into:into.tick_duration_ns src.tick_duration_ns;
-  Obs.Hist.merge ~into:into.recv_drained src.recv_drained;
-  Obs.Hist.merge ~into:into.flush_train src.flush_train;
-  Obs.Hist.merge ~into:into.timer_heap_depth src.timer_heap_depth;
-  into.ticks <- into.ticks + src.ticks;
-  into.drain_exhausted <- into.drain_exhausted + src.drain_exhausted;
-  into.spurious_wakeups <- into.spurious_wakeups + src.spurious_wakeups
 
 (* A flow is keyed by who is talking and which transfer they mean: two
    transfers from the same source port never collide (distinct ids), and two
    senders reusing id 1 never collide either (distinct sockaddrs). *)
 type key = Unix.sockaddr * int
-
-type timer_payload =
-  | Flow_tick of key
-  | Delayed_send of { peer : Unix.sockaddr; data : bytes }
-      (** a netem-delayed emission: the engine never sleeps inline, it
-          schedules the datagram and keeps serving other flows *)
 
 type flow_state = {
   flow : Sockets.Flow.t;
@@ -107,7 +68,7 @@ type flow_state = {
 }
 
 type t = {
-  transport : Sockets.Transport.t;
+  loop : Sockets.Loop.t;
   max_flows : int;
   tuning : Protocol.Tuning.t;
   idle_timeout_ns : int option;
@@ -115,7 +76,6 @@ type t = {
   fallback_suite : Protocol.Suite.t option;
   scenario : Faults.Scenario.t option;
   seed : int;
-  drain_budget : int;
   recorder : Obs.Recorder.t option;
   metrics : Obs.Metrics.t option;
   clock : unit -> int;
@@ -130,25 +90,26 @@ type t = {
   manifests : (int * int, Packet.Stripe.entry) Hashtbl.t;
       (** stripes this server holds, keyed [(object_id, stripe index)] —
           recorded only for CRC-verified successes, answered over MREQ *)
-  timers : timer_payload Timers.t;
+  timers : key Sockets.Timers.t;  (** flow ticks, lazily invalidated *)
   totals : totals;
   settled : Protocol.Counters.t;  (** merged counters of finished flows *)
   server_counters : Protocol.Counters.t;  (** pre-admission garbage accounting *)
   server_probe : Obs.Probe.t;
-  stopped : bool Atomic.t;
   mutable next_index : int;
   mutable next_reject : int;  (** uniquifier for rejected-REQ trace lanes *)
   mutable flight_dumped : bool;  (** one automatic postmortem per engine *)
-  mutable tx_queued : int;  (** sends since the last flush point *)
 }
+
+(* Datagrams handed over per wakeup: the fairness knob — one blast sender
+   saturating the socket cannot starve the other flows' timers. *)
+let drain_budget = 64
 
 let create ?(max_flows = 64)
     ?idle_timeout_ns ?linger_ns ?fallback_suite ?scenario ?(seed = 1)
-    ?(drain_budget = 64) ?ctx ?(on_complete = fun _ -> ()) ?flowtrace
+    ?ctx ?(on_complete = fun _ -> ()) ?flowtrace
     ?(on_idle = fun () -> ()) ?(trace_epoch = 0) ?lane_prefix:(label_prefix = "")
     ~transport () =
   if max_flows < 0 then invalid_arg "Engine.create: negative max_flows";
-  if drain_budget <= 0 then invalid_arg "Engine.create: drain_budget must be positive";
   let ctx = match ctx with Some c -> c | None -> Sockets.Io_ctx.default () in
   let { Sockets.Io_ctx.recorder; metrics; clock; batch = _; faults = _; tuning } = ctx in
   Option.iter (fun r -> Obs.Recorder.set_clock r clock) recorder;
@@ -158,8 +119,9 @@ let create ?(max_flows = 64)
       ~counters:server_counters ()
   in
   let created_ns = clock () in
+  let health = Sockets.Loop.create_health () in
   {
-    transport;
+    loop = Sockets.Loop.create ~health ~drain_budget ~clock transport;
     max_flows;
     tuning;
     idle_timeout_ns;
@@ -167,7 +129,6 @@ let create ?(max_flows = 64)
     fallback_suite;
     scenario = (match scenario with Some s when Faults.Scenario.is_clean s -> None | s -> s);
     seed;
-    drain_budget;
     recorder;
     metrics;
     clock;
@@ -177,19 +138,17 @@ let create ?(max_flows = 64)
     trace_epoch;
     label_prefix;
     created_ns;
-    health = create_health ();
+    health;
     flows = Hashtbl.create 64;
     manifests = Hashtbl.create 16;
-    timers = Timers.create ();
+    timers = Sockets.Timers.create ();
     totals = create_totals ();
     settled = Protocol.Counters.create ();
     server_counters;
     server_probe;
-    stopped = Atomic.make false;
     next_index = 0;
     next_reject = 0;
     flight_dumped = false;
-    tx_queued = 0;
   }
 
 let totals t = t.totals
@@ -260,53 +219,18 @@ let publish_gauges t =
         (Obs.Metrics.gauge m ~labels:[ ("side", "server") ] "active_flows")
         (float_of_int (Hashtbl.length t.flows))
 
-let put t = function
-  | Sockets.Udp.Sent -> ()
-  | Sockets.Udp.Send_failed _ -> t.totals.send_failures <- t.totals.send_failures + 1
+let send_failed t () = t.totals.send_failures <- t.totals.send_failures + 1
 
-(* One datagram out — joining the pending train when the transport batches,
-   in its own syscall otherwise. The outcome callback fires per datagram
-   either way, so the send-failure accounting is identical batched or not. *)
-let send_now t ~on_outcome peer data =
-  t.tx_queued <- t.tx_queued + 1;
-  t.transport.Sockets.Transport.send ~peer ~on_outcome data
-
-(* Flush points bracket every burst, so the queued count at flush time is
-   the train a batching transport submits as one sendmmsg — and a useful
-   proxy for burst size even on the per-datagram path. *)
-let flush_tx t =
-  if t.tx_queued > 0 then begin
-    Obs.Hist.add t.health.flush_train (float_of_int t.tx_queued);
-    t.tx_queued <- 0
-  end;
-  t.transport.Sockets.Transport.flush ()
-
-(* Per-flow transmit: the probe's tx event fires per protocol send (before
-   fault injection, agreeing with the machine's counters); delayed netem
-   emissions go on the timer heap instead of blocking the loop. *)
-let transmit t fs message =
-  let probe = Sockets.Flow.probe fs.flow in
-  Obs.Probe.tx probe message;
-  let encoded = Packet.Codec.encode message in
-  match fs.faults with
-  | None ->
-      send_now t fs.peer encoded ~on_outcome:(function
-        | Sockets.Udp.Sent -> ()
-        | Sockets.Udp.Send_failed _ ->
-            Obs.Probe.drop probe `Tx;
-            t.totals.send_failures <- t.totals.send_failures + 1)
-  | Some netem ->
-      List.iter
-        (fun { Faults.Netem.delay_ns; data } ->
-          if delay_ns <= 0 then send_now t fs.peer data ~on_outcome:(put t)
-          else
-            Timers.add t.timers
-              ~deadline:(t.clock () + delay_ns)
-              (Delayed_send { peer = fs.peer; data }))
-        (Faults.Netem.tx_bytes netem encoded)
+(* Timer-heap depth: flow ticks plus the loop's delayed emissions, so heap
+   backlog still counts delayed sends. *)
+let timer_depth t = Sockets.Timers.length t.timers + Sockets.Loop.pending t.loop
 
 let execute t fs actions =
-  List.iter (fun (Sockets.Flow.Transmit m) -> transmit t fs m) actions
+  List.iter
+    (fun (Sockets.Flow.Transmit m) ->
+      Sockets.Loop.transmit t.loop ?faults:fs.faults ~on_failed:(send_failed t)
+        ~probe:(Sockets.Flow.probe fs.flow) ~peer:fs.peer m)
+    actions
 
 let reschedule t key fs =
   if Hashtbl.mem t.flows key then
@@ -314,7 +238,7 @@ let reschedule t key fs =
     | None -> ()
     | Some deadline ->
         if deadline < fs.scheduled_at then begin
-          Timers.add t.timers ~deadline (Flow_tick key);
+          Sockets.Timers.add t.timers ~deadline key;
           fs.scheduled_at <- deadline
         end
 
@@ -356,11 +280,7 @@ let finalize ?(superseded = false) t key fs (completion : Sockets.Flow.completio
       (* Release held-back (reordered) datagrams so a sender waiting on its
          final ack is not starved by our own fault pipeline. *)
       List.iter
-        (fun { Faults.Netem.delay_ns; data } ->
-          if delay_ns <= 0 then send_now t ~on_outcome:(put t) fs.peer data
-          else
-            Timers.add t.timers ~deadline:(now + delay_ns)
-              (Delayed_send { peer = fs.peer; data }))
+        (Sockets.Loop.emit t.loop ~peer:fs.peer ~on_failed:(send_failed t))
         (Faults.Netem.flush netem));
   Protocol.Counters.merge ~into:t.settled completion.Sockets.Flow.counters;
   (* A CRC-verified striped success makes this server a durable replica of
@@ -410,7 +330,8 @@ let reject t ~now ~from ~transfer_id =
   Log.debug (fun f ->
       f "rejecting transfer %d: %d/%d flows busy" transfer_id (Hashtbl.length t.flows)
         t.max_flows);
-  send_now t ~on_outcome:(put t) from (Packet.Codec.encode (Packet.Message.rej ~transfer_id))
+  Sockets.Loop.send t.loop ~peer:from ~on_failed:(send_failed t)
+    (Packet.Codec.encode (Packet.Message.rej ~transfer_id))
 
 (* Receiver-advertised train budget, recomputed at every solicit. The pool
    an adaptive sender may fill is the tuning's [max_train] (or the nominal
@@ -433,8 +354,8 @@ let advertised_budget t =
      datagrams, so capping each of N flows to a 1/N sliver of the pool just
      idles the engine between wakeups. Genuine pressure still halves the
      advert below the floor. *)
-  let share = max 1 (max (min pool (t.drain_budget / 2)) (pool / active)) in
-  let heap_backlog = Timers.length t.timers > 2 * active in
+  let share = max 1 (max (min pool (drain_budget / 2)) (pool / active)) in
+  let heap_backlog = timer_depth t > 2 * active in
   let drain_pressure = t.health.drain_exhausted > t.health.last_drain_exhausted in
   t.health.last_drain_exhausted <- t.health.drain_exhausted;
   if heap_backlog || drain_pressure then max 1 (share / 2) else share
@@ -545,8 +466,7 @@ let observe_rounds t fs ~now =
         trace t Obs.Flowtrace.Round ~flow:fs.label ~now
       end
 
-let handle_datagram t ~buf ~from ~len =
-  let now = t.clock () in
+let handle_datagram t ~now { Sockets.Transport.buf; len; from } =
   match Packet.Codec.decode_sub buf ~pos:0 ~len with
   | Error reason ->
       (* No trustworthy header, so no flow to attribute it to. *)
@@ -562,7 +482,7 @@ let handle_datagram t ~buf ~from ~len =
         manifest t ~object_id
         |> List.filteri (fun i _ -> i < Packet.Stripe.max_entries)
       in
-      send_now t ~on_outcome:(put t) from
+      Sockets.Loop.send t.loop ~peer:from ~on_failed:(send_failed t)
         (Packet.Codec.encode (Packet.Stripe.manifest_reply ~object_id entries))
   | Ok message when message.Packet.Message.kind = Packet.Kind.Mrep ->
       (* Servers answer manifests, they never ask: a reply arriving here is
@@ -594,17 +514,14 @@ let handle_datagram t ~buf ~from ~len =
                handshake we refused — expected traffic, silently absorbed. *)
             t.totals.stray_datagrams <- t.totals.stray_datagrams + 1)
 
-(* Service everything the heap owes us at [now]: delayed fault emissions go
-   out, and each due flow gets its tick (machine timer, idle watchdog, or
-   linger expiry). Stale heap entries — the flow's deadline moved later or
-   the flow is gone — are dropped or re-armed. *)
+(* Service everything the heap owes us at [now]: each due flow gets its
+   tick (machine timer, idle watchdog, or linger expiry). Stale heap
+   entries — the flow's deadline moved later or the flow is gone — are
+   dropped or re-armed. *)
 let rec service_timers t ~now =
-  match Timers.pop_due t.timers ~now with
+  match Sockets.Timers.pop_due t.timers ~now with
   | None -> ()
-  | Some (Delayed_send { peer; data }) ->
-      send_now t ~on_outcome:(put t) peer data;
-      service_timers t ~now
-  | Some (Flow_tick key) ->
+  | Some key ->
       (match Hashtbl.find_opt t.flows key with
       | None -> ()
       | Some fs ->
@@ -617,20 +534,6 @@ let rec service_timers t ~now =
           | _ -> ());
           reschedule t key fs);
       service_timers t ~now
-
-(* Drain at most [budget] datagrams, then return to timer service: the
-   budget is the fairness knob — one blast sender saturating the socket
-   cannot starve the other flows' retransmission timers. A batching
-   transport serves the whole budget out of one or two [recvmmsg] rings.
-   Returns how many datagrams it consumed. *)
-let rec drain t budget =
-  if budget <= 0 then 0
-  else
-    match t.transport.Sockets.Transport.poll () with
-    | `Empty -> 0
-    | `Datagram { Sockets.Transport.buf; len; from } ->
-        handle_datagram t ~buf ~from ~len;
-        1 + drain t (budget - 1)
 
 let counters_json (c : Protocol.Counters.t) =
   Obs.Json.Obj
@@ -668,7 +571,7 @@ let health_json t =
       ("ticks", Obs.Json.Int h.ticks);
       ("drain_exhausted", Obs.Json.Int h.drain_exhausted);
       ("spurious_wakeups", Obs.Json.Int h.spurious_wakeups);
-      ("timer_heap", Obs.Json.Int (Timers.length t.timers));
+      ("timer_heap", Obs.Json.Int (timer_depth t));
       ("tick_duration_ns", Obs.Hist.to_json h.tick_duration_ns);
       ("recv_drained", Obs.Hist.to_json h.recv_drained);
       ("flush_train", Obs.Hist.to_json h.flush_train);
@@ -728,70 +631,19 @@ let snapshot t =
       ("counters", counters_json (rollup t));
     ]
 
-(* Bounded service cap for a transport without a [wake] capability, where a
-   cross-thread [stop] or [on_idle] request can only be noticed by waking
-   up. An engine on a wakeable transport blocks indefinitely when idle. *)
-let service_cap_ns = 50_000_000
-
 let run t =
   Log.info (fun f -> f "serving (max %d concurrent flows)" t.max_flows);
-  while not (Atomic.get t.stopped) do
-    let now = t.clock () in
-    service_timers t ~now;
-    (* Everything the timers and the previous drain queued goes out as one
-       train; acks never wait longer than one loop round. *)
-    flush_tx t;
-    t.on_idle ();
-    Obs.Hist.add t.health.timer_heap_depth (float_of_int (Timers.length t.timers));
-    (* The wait is derived purely from pending work: the earliest timer
-       deadline, capped only on a transport without wake. With a wakeable
-       transport and no timer, the wait is unbounded — an idle engine
-       sleeps until traffic, a wake, or stop, instead of ticking 20x a
-       second. *)
-    let timeout_ns =
-      let bound =
-        match Timers.peek_deadline t.timers with
-        | None -> max_int
-        | Some deadline -> max 0 (deadline - now)
-      in
-      let bound =
-        if Option.is_none t.transport.Sockets.Transport.wake then
-          min bound service_cap_ns
-        else bound
-      in
-      if bound = max_int then None else Some bound
-    in
-    let pre_wait = t.clock () in
-    let resumed, drained =
-      match t.transport.Sockets.Transport.recv ~timeout_ns with
-      | `Timeout -> (t.clock (), 0)
-      | `Datagram { Sockets.Transport.buf; len; from } ->
-          let resumed = t.clock () in
-          handle_datagram t ~buf ~from ~len;
-          (resumed, 1 + drain t (t.drain_budget - 1))
-    in
-    flush_tx t;
-    t.health.ticks <- t.health.ticks + 1;
-    if drained > 0 then
-      Obs.Hist.add t.health.recv_drained (float_of_int drained);
-    if drained >= t.drain_budget then
-      t.health.drain_exhausted <- t.health.drain_exhausted + 1;
-    (* A wakeup that found no datagram and no due timer did nothing at
-       all. *)
-    if drained = 0 then begin
-      let timer_due =
-        match Timers.peek_deadline t.timers with
-        | Some d -> d - t.clock () <= 0
-        | None -> false
-      in
-      if (not timer_due) && not (Atomic.get t.stopped) then
-        t.health.spurious_wakeups <- t.health.spurious_wakeups + 1
-    end;
-    (* Work time only — the blocking wait between [pre_wait] and [resumed]
-       is idleness, not load, and would drown the signal at 50 ms a tick. *)
-    Obs.Hist.add t.health.tick_duration_ns
-      (float_of_int (pre_wait - now + (t.clock () - resumed)))
-  done;
+  Sockets.Loop.run t.loop
+    {
+      Sockets.Loop.next_deadline = (fun () -> Sockets.Timers.peek_deadline t.timers);
+      due =
+        (fun ~now ->
+          service_timers t ~now;
+          t.on_idle ();
+          Obs.Hist.add t.health.timer_heap_depth (float_of_int (timer_depth t)));
+      receive = handle_datagram t;
+      finished = (fun () -> false);
+    };
   (* Shutdown settles every live flow to a typed result — nothing is left
      dangling, and the caller's on_complete sees each one exactly once
      (a lingering flow's hand-over already happened). *)
@@ -802,24 +654,15 @@ let run t =
       let completion = Sockets.Flow.force_done fs.flow ~now in
       finalize t key fs completion ~now)
     remaining;
-  flush_tx t;
+  Sockets.Loop.flush t.loop;
   publish_gauges t;
   (match t.metrics with
   | None -> ()
   | Some m -> Obs.Metrics.bridge_counters m ~labels:[ ("side", "server") ] (rollup t));
   Log.info (fun f -> f "server loop exits: %a" pp_totals t.totals)
 
-(* Nudge a blocked serving loop: its next [recv] returns promptly. Safe
-   from any thread (the transport's wake is); a no-op on transports
-   without the capability, whose waits stay capped instead. *)
-let wake t =
-  match t.transport.Sockets.Transport.wake with
-  | None -> ()
-  | Some w -> w ()
-
-let stop t =
-  Atomic.set t.stopped true;
-  wake t
+let wake t = Sockets.Loop.wake t.loop
+let stop t = Sockets.Loop.stop t.loop
 
 (* Structural invariants the event loop maintains between rounds; the
    deterministic-simulation harness calls this after every scheduler step.
@@ -833,12 +676,10 @@ let invariant_violations t =
      later entries are fine, but a live flow's next deadline must always be
      covered by an entry at or before it, or the loop could sleep past it. *)
   let heap_min : (key, int) Hashtbl.t = Hashtbl.create 16 in
-  Timers.iter t.timers (fun ~deadline -> function
-    | Delayed_send _ -> ()
-    | Flow_tick key -> (
-        match Hashtbl.find_opt heap_min key with
-        | Some d when d <= deadline -> ()
-        | _ -> Hashtbl.replace heap_min key deadline));
+  Sockets.Timers.iter t.timers (fun ~deadline key ->
+      match Hashtbl.find_opt heap_min key with
+      | Some d when d <= deadline -> ()
+      | _ -> Hashtbl.replace heap_min key deadline);
   Hashtbl.iter
     (fun key fs ->
       let id = Sockets.Flow.transfer_id fs.flow in

@@ -1,33 +1,30 @@
 (** Concurrent transfer server: many flows multiplexed over one UDP socket.
 
-    A single event loop (the transport's readiness wait — epoll-backed via
-    {!Sockets.Poller} on a real socket — plus a timer heap) demultiplexes
-    datagrams by [(peer address, transfer id)] into a table of sans-IO
-    {!Sockets.Flow} instances — the same engine {!Sockets.Peer.serve_one}
-    drives single-flow. Each admitted flow gets its own counters, probe lane
-    ([flow-N]) and, under a fault scenario, its own deterministically-seeded
-    {!Faults.Netem} whose delayed emissions are scheduled on the timer heap
-    rather than slept inline, so injecting latency into one flow never
-    stalls the others.
+    The engine is a client of {!Sockets.Loop}, which owns the wait (the
+    transport's readiness wait — epoll-backed via {!Sockets.Poller} on a
+    real socket), the drain, the flush points, netem-delayed emissions and
+    loop health. The engine answers the loop's deadline from its own
+    lazily invalidated timer heap of flow ticks, services everything due,
+    and demultiplexes datagrams by [(peer address, transfer id)] into a
+    table of sans-IO {!Sockets.Flow} instances — the same flow
+    {!Sockets.Peer.serve_one} drives single-flow. Each admitted flow gets
+    its own counters, probe lane ([flow-N]) and, under a fault scenario,
+    its own deterministically-seeded {!Faults.Netem} whose delayed
+    emissions wait on the loop's timer rather than being slept inline, so
+    injecting latency into one flow never stalls the others.
 
     {b Admission control.} At most [max_flows] concurrent transfers; a REQ
     beyond the cap is answered with a [REJ] datagram, which the sender
     surfaces as the clean {!Protocol.Action.Rejected} outcome.
 
-    {b Fairness.} Each loop round drains at most [drain_budget] datagrams
-    before servicing due timers, so one saturating sender cannot starve the
-    other flows' retransmission or watchdog timers.
+    {b Fairness.} Each loop round drains at most 64 datagrams (a constant
+    drain budget) before servicing due timers, so one saturating sender
+    cannot starve the other flows' retransmission or watchdog timers.
 
     {b No-hang guarantee.} Every flow's idle watchdog runs off the shared
-    heap; [stop] wakes a blocked loop through the transport's wake
-    capability (or, on a transport without one, is honoured within the
-    ~50 ms service cap); shutdown force-settles every live flow to a typed
-    completion.
-
-    {b Idle cost.} The wait is derived from pending work alone — the
-    earliest timer deadline. An idle engine on a wakeable transport blocks
-    indefinitely instead of ticking 20x a second; wakeups that turn out to
-    have nothing to do are counted in [health.spurious_wakeups].
+    heap, and shutdown force-settles every live flow to a typed
+    completion. An idle engine on a wakeable transport blocks until
+    traffic, a wake or {!stop}.
 
     The stat socket and periodic snapshots are not the engine's business:
     {!Group} hosts engines and serves both from its own thread, fetching
@@ -62,15 +59,10 @@ type completion_event = {
           other outcome the instant the flow was settled *)
 }
 
-(** Loop health, observed from inside the serving loop. [tick_duration_ns]
-    measures work per wakeup {e excluding} the blocking wait, so its p99
-    rises exactly when the single-domain loop saturates; [recv_drained] is
-    datagrams consumed per wakeup that had any; [flush_train] is datagrams
-    per non-empty flush point (the sendmmsg train size under a batching
-    transport); [drain_exhausted] counts wakeups that consumed the whole
-    drain budget — standing-backlog evidence; [spurious_wakeups] counts
-    wakeups that found nothing to do at all. *)
-type health = {
+(** The serving loop's {!Sockets.Loop.health}, re-exported with its fields;
+    the engine records [timer_heap_depth] (flow ticks plus delayed
+    emissions) at each idle point. *)
+type health = Sockets.Loop.health = {
   tick_duration_ns : Obs.Hist.t;
   recv_drained : Obs.Hist.t;
   flush_train : Obs.Hist.t;
@@ -81,15 +73,6 @@ type health = {
   mutable spurious_wakeups : int;
 }
 
-val create_health : unit -> health
-(** A fresh, empty health record with the engine's histogram geometries —
-    the identity element of {!merge_health}. *)
-
-val merge_health : into:health -> health -> unit
-(** Shard roll-up: histograms via {!Obs.Hist.merge} (safe while the source
-    engine is still serving — each histogram merges under its own lock),
-    plain counters by addition. *)
-
 type t
 
 val create :
@@ -99,7 +82,6 @@ val create :
   ?fallback_suite:Protocol.Suite.t ->
   ?scenario:Faults.Scenario.t ->
   ?seed:int ->
-  ?drain_budget:int ->
   ?ctx:Sockets.Io_ctx.t ->
   ?on_complete:(completion_event -> unit) ->
   ?flowtrace:Obs.Flowtrace.t ->
@@ -111,7 +93,7 @@ val create :
   t
 (** The engine serves on [transport] — {!Sockets.Transport.udp} over a real
     socket, or a memnet endpoint under virtual time; the loop cannot tell.
-    Defaults: 64 concurrent flows, drain budget 64; timers and attempts come
+    Defaults: 64 concurrent flows; timers and attempts come
     from [ctx.tuning] (default {!Protocol.Tuning.wire_default} — 50 ms
     retransmission interval, 50 attempts). Every admitted flow advertises a
     train budget to adaptive senders: a fair share of the tuning's
@@ -142,16 +124,16 @@ val create :
     force-settled at shutdown) fires it when the flow settles. Totals, the
     flowtrace terminal and admission still count a flow until its linger
     ends. Raises
-    [Invalid_argument] on a negative [max_flows] or non-positive
-    [drain_budget]; [max_flows = 0] refuses everything — the admission
-    test's degenerate case.
+    [Invalid_argument] on a negative [max_flows]; [max_flows = 0] refuses
+    everything — the admission test's degenerate case.
 
     [flowtrace] records every flow's lifecycle (admitted → first-data →
     rounds → verify → exactly one of done/failed/rejected/superseded),
     timestamped from [ctx.clock] so real-UDP and DST runs trace
     identically; [trace_epoch] namespaces the lanes of successive engine
     incarnations sharing one flowtrace (DST restarts). [on_idle] runs once
-    per loop round at the idle point, on the serving thread — {!Group}
+    per loop round at the idle point — after the due timers, before the
+    wait — on the serving thread — {!Group}
     uses it to answer cross-thread snapshot requests; pair it with {!wake}
     to bound its latency. [lane_prefix] (default [""]) prefixes every
     trace lane and snapshot label, so flows stay attributable after a
@@ -162,16 +144,12 @@ val run : t -> unit
     force-settles any flow still live. *)
 
 val stop : t -> unit
-(** Thread-safe. Sets the stop flag and {!wake}s the loop, so [run]
-    returns promptly even from an unbounded idle wait (on a transport
-    without wake, within the ~50 ms service cap). *)
+(** {!Sockets.Loop.stop}: thread-safe, and prompt even from an unbounded
+    idle wait. *)
 
 val wake : t -> unit
-(** Nudge a blocked serving loop from any thread: its current [recv]
-    returns promptly and the loop passes its idle point ([on_idle]) again.
-    Spurious wakes are counted, never harmful. A no-op on transports
-    without the wake capability, whose waits are capped at ~50 ms
-    instead. *)
+(** {!Sockets.Loop.wake}: the loop passes its idle point ([on_idle]) again
+    promptly. *)
 
 val totals : t -> totals
 val active_flows : t -> int

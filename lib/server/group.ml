@@ -41,7 +41,7 @@ let alive t =
 let admin_port t = Option.map Admin.port t.admin
 
 let create ?(address = "127.0.0.1") ?(port = 0) ?max_flows ?idle_timeout_ns ?linger_ns
-    ?fallback_suite ?scenario ?(seed = 1) ?drain_budget ?ctx ?(on_complete = fun _ -> ())
+    ?fallback_suite ?scenario ?(seed = 1) ?ctx ?(on_complete = fun _ -> ())
     ?flowtrace ?admin_port ?stats_interval_ns ?(on_snapshot = fun _ -> ()) ~binding
     ~members () =
   if members <= 0 then invalid_arg "Group.create: members must be positive";
@@ -94,7 +94,7 @@ let create ?(address = "127.0.0.1") ?(port = 0) ?max_flows ?idle_timeout_ns ?lin
     let engine =
       Engine.create ?max_flows ?idle_timeout_ns ?linger_ns ?fallback_suite ?scenario
         ~seed:(seed + (7919 * index))
-        ?drain_budget ~ctx ~on_complete ?flowtrace ~on_idle
+        ~ctx ~on_complete ?flowtrace ~on_idle
         ~lane_prefix:(lane_prefix index) ~transport ()
     in
     engine_ref := Some engine;
@@ -217,8 +217,10 @@ let member_row t m snap =
           ])
 
 let merged_health_json t snaps =
-  let merged = Engine.create_health () in
-  Array.iter (fun m -> Engine.merge_health ~into:merged (Engine.health m.engine)) t.members;
+  let merged = Sockets.Loop.create_health () in
+  Array.iter
+    (fun m -> Sockets.Loop.merge_health ~into:merged (Engine.health m.engine))
+    t.members;
   Obs.Json.Obj
     [
       ("ticks", Obs.Json.Int merged.Engine.ticks);

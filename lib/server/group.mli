@@ -48,7 +48,6 @@ val create :
   ?fallback_suite:Protocol.Suite.t ->
   ?scenario:Faults.Scenario.t ->
   ?seed:int ->
-  ?drain_budget:int ->
   ?ctx:Sockets.Io_ctx.t ->
   ?on_complete:(Engine.completion_event -> unit) ->
   ?flowtrace:Obs.Flowtrace.t ->

@@ -1,23 +1,27 @@
-(** Sans-IO receiver flow engine.
+(** Sans-IO transfer flow: one end of one transfer, in either role.
 
-    The receiver half of a transfer — handshake re-ack, datagram dispatch
-    into the protocol machine, idle watchdog, post-completion linger, and the
-    whole-segment CRC verdict — as a pure state machine over explicit
-    timestamps. The engine never touches a socket, a clock, or a thread: the
-    driver feeds it decoded datagrams ([on_message]), undecodable ones
-    ([on_garbage]), and time ([on_tick]), and executes the [Transmit] actions
-    it returns. The same engine therefore runs single-flow under
+    A flow is a pure state machine over explicit timestamps. It never
+    touches a socket, a clock, or a thread: the driver (a {!Loop} client)
+    feeds it decoded datagrams ([on_message]), undecodable ones
+    ([on_garbage]), and time ([on_tick]), and executes the [Transmit]
+    actions it returns. Timestamps are plain integer nanoseconds from any
+    monotonic source; only differences are meaningful. The flow tells the
+    driver when it next needs a tick via [next_deadline].
+
+    {b Responding} ({!create}, from a REQ): handshake re-ack, datagram
+    dispatch into the receiver machine, idle watchdog, post-completion
+    linger and the whole-segment CRC verdict. It runs single-flow under
     {!Peer.serve_one} and multiplexed — hundreds of instances over one
-    socket — under the concurrent server, with identical protocol behaviour.
+    socket — under [Server.Engine], with identical protocol behaviour.
 
-    Timestamps are plain integer nanoseconds from any monotonic source; only
-    differences are meaningful. The flow tells the driver when it next needs
-    a tick via [next_deadline]; drivers sleep until the earliest deadline
-    across their flows.
+    {b Initiating} ({!initiate}, from the data): the sender under
+    {!Peer.send} — the REQ handshake, then the sender machine with its RTT
+    estimate (Karn's rule), pacing gap and idle watchdog.
 
-    {b No-hang guarantee.} Every flow reaches [`Done]: the idle watchdog
-    aborts a flow whose sender goes silent, the linger window is bounded,
-    and [force_done] settles a flow unconditionally at driver shutdown. *)
+    {b No-hang guarantee.} Every flow reaches [`Done]: the handshake gives
+    up after the tuning's [max_attempts], the idle watchdog aborts a flow
+    whose peer goes silent, the linger window is bounded, and [force_done]
+    settles a flow unconditionally at driver shutdown. *)
 
 type action =
   | Transmit of Packet.Message.t
@@ -75,6 +79,37 @@ val create :
     The probe's [rx] fires for the REQ here; the suite normally travels in
     the REQ and [fallback_suite] only covers senders that omit it. *)
 
+val max_packet_bytes : int
+(** 65479: the largest payload whose wire-v2 datagram fits in one UDP
+    datagram (65507 bytes). *)
+
+val initiate :
+  ?rtt:Protocol.Rtt.t ->
+  ?idle_timeout_ns:int ->
+  ?stripe:Packet.Stripe.t ->
+  tuning:Protocol.Tuning.t ->
+  packet_bytes:int ->
+  suite:Protocol.Suite.t ->
+  transfer_id:int ->
+  probe:Obs.Probe.t ->
+  counters:Protocol.Counters.t ->
+  now:int ->
+  string ->
+  t * action list
+(** The sending side of a transfer of the data; the action is the first
+    REQ (geometry, suite, whole-segment CRC, [stripe] framing). The REQ is
+    resent every retransmit interval of [tuning] — at once after a garbage
+    or foreign datagram, which also costs an attempt — until ACK seq=0,
+    a REJ ([Rejected]) or [max_attempts] ([Peer_unreachable]). Under
+    adaptive tuning REQs 1–3 and every later odd one are wire v2, the rest
+    v1; a budget on the ACK settles adaptive trains ({!adaptive}), a bare
+    ACK negotiates down to fixed. The idle watchdog ([idle_timeout_ns],
+    default [max_attempts * retransmit_ns]) starts at the ACK, and any
+    datagram resets it. With [rtt] (created for adaptive tuning) timeouts
+    follow clean round trips. Raises [Invalid_argument] on empty data or a
+    [packet_bytes] outside [\[1, max_packet_bytes\]], before any datagram
+    exists. *)
+
 val transfer_id : t -> int
 val counters : t -> Protocol.Counters.t
 val probe : t -> Obs.Probe.t
@@ -105,17 +140,32 @@ val stripe : t -> Packet.Stripe.t option
 (** Ring framing the handshake REQ carried: which slice of which object
     this flow is, [None] for an ordinary (unstriped) transfer. *)
 
+val adaptive : t -> bool
+(** Does the flow run adaptive trains? A responder knows from the REQ, an
+    initiator from the handshake ACK ([false] until then). *)
+
+val started_ns : t -> int
+(** When the transfer's clock started: the flow's creation, restarted at
+    the handshake ACK for an initiator. *)
+
+val pacing_gap : t -> int
+(** Nanoseconds the driver sleeps after each DATA datagram it transmits:
+    the adaptive controller's gap, or the tuning's fixed pacing ([0] for
+    none and for a responder). *)
+
 val total_packets : t -> int
 (** Expected distinct data packets ([ceil (total_bytes / packet_bytes)]) —
     with [counters.delivered] this gives a live progress fraction for the
     server's stats plane. *)
 
 val on_message : t -> now:int -> Packet.Message.t -> action list
-(** Feed one decoded datagram (the loop feeding it has already routed it
-    by transfer id; mismatched ids are ignored). Resets the idle
-    watchdog. A duplicate REQ is answered with the handshake ack; anything
-    else goes to the machine. While lingering, duplicates are re-answered
-    without extending the linger window. *)
+(** Feed one decoded datagram. A responder ignores mismatched transfer
+    ids; otherwise the idle watchdog resets, a duplicate REQ is answered
+    with the handshake ack and anything else goes to the machine. While
+    lingering, duplicates are re-answered without extending the linger
+    window. An initiator's handshake consumes its reply (see {!initiate});
+    once running, any datagram resets its watchdog and those of its
+    transfer go to the machine. *)
 
 val same_request : t -> Packet.Message.t -> bool
 (** Is this REQ a retransmission of the handshake this flow answered — same
@@ -125,15 +175,17 @@ val same_request : t -> Packet.Message.t -> bool
     settle this flow and admit the REQ fresh rather than feed it into a
     machine mid-way through someone else's transfer. *)
 
-val on_garbage : t -> now:int -> Packet.Codec.error -> unit
+val on_garbage : t -> now:int -> Packet.Codec.error -> action list
 (** An undecodable datagram attributed to this flow: counted (corruption
     vs. alien traffic, per the codec reason) and, while running, the idle
-    watchdog resets — garbage is still evidence the peer is alive. *)
+    watchdog resets — garbage is still evidence the peer is alive. During
+    an initiator's handshake it costs an attempt: the REQ goes out again. *)
 
 val on_tick : t -> now:int -> action list
-(** Fires whatever is due at [now]: the machine's retransmission timer, the
-    idle watchdog (aborts with [Peer_unreachable]), or linger expiry
-    (settles to [`Done]). Safe to call early; nothing due is a no-op. *)
+(** Fires whatever is due at [now]: the handshake REQ timer, else the
+    machine's retransmission timer, else the idle watchdog (aborts with
+    [Peer_unreachable]), or linger expiry (settles to [`Done]) — one of
+    them per call. Safe to call early; nothing due is a no-op. *)
 
 val next_deadline : t -> int option
 (** Earliest instant at which [on_tick] will have work; [None] once done.

@@ -1,4 +1,4 @@
-(** Transport I/O context: one value for everything an endpoint loop used to
+(** Transport I/O context: one value for everything an endpoint used to
     take as parallel optional arguments.
 
     Every transport entry point ({!Peer.send}, {!Peer.serve_one},

@@ -17,29 +17,30 @@
     loss ([Drop_iid p]) or the full adversarial pipeline — bursts,
     duplication, reordering, bit flips, truncation, delay.
 
-    {b Adaptive trains.} With [ctx.tuning = Adaptive _] the sender announces
-    itself by stamping a budget onto its REQ (wire v2). A budget on the
-    handshake ACK confirms the adaptive regime: the blast runs under the
-    {!Protocol.Adapt} AIMD controller, capped by the receiver-advertised
-    budget on every NACK, with pacing gaps derived from the smoothed RTT. An
-    old (v1-only) receiver never answers v2, so after two attempts the
-    handshake alternates plain v1 REQs and a bare ACK negotiates the
-    transfer down to fixed trains ({!Protocol.Tuning.negotiate_down}).
+    Each end is one sans-IO {!Flow} — initiating under {!send}, responding
+    under {!serve_one} — driven by a {!Loop}: the loop waits for the flow's
+    own next deadline, ticks it once per wakeup, hands it one datagram per
+    wakeup, and puts netem-delayed emissions on its timer. With
+    [ctx.tuning = Adaptive _] the handshake negotiates AIMD trains with a
+    receiver-advertised budget, falling back to fixed trains against a
+    v1-only receiver (see {!Flow.initiate}).
 
     {b Batched I/O.} With [ctx.batch] (the default), each burst of protocol
-    sends — a blast round — goes out as one packet train through
-    {!Batch.flush} ([sendmmsg]) instead of one syscall per datagram; partial
-    kernel acceptance degrades to per-datagram loss accounting, never an
+    sends — a blast round — leaves at the loop's next flush point as one
+    packet train through {!Batch.flush} ([sendmmsg]); partial kernel
+    acceptance degrades to per-datagram loss accounting, never an
     exception. A paced sender (tuning pacing other than [No_pacing]) stays
-    on the one-datagram path, since a train has no inter-packet gaps.
+    on the one-datagram path and sleeps the gap after each DATA datagram,
+    since a train has no inter-packet gaps.
 
     {b No-hang guarantee.} Every entry point is bounded: the handshake gives
-    up after the tuning's [max_attempts]; the machine loop carries an idle
-    watchdog (default [max_attempts * retransmit_ns]) that trips when the
-    far end stops sending datagrams; and both sides then return the clean
+    up after the tuning's [max_attempts]; each flow's idle watchdog
+    (default [max_attempts * retransmit_ns]) trips when the far end stops
+    sending datagrams; and both sides then return the clean
     [Peer_unreachable] outcome instead of blocking or raising. The only
     unbounded wait is [serve_one]'s initial listen for a REQ, and
-    [accept_timeout_ns] bounds that too. *)
+    [accept_timeout_ns] bounds that too; its socket has no poller, so the
+    loop wakes at its 50 ms cap while idle. *)
 
 type send_result = {
   outcome : Protocol.Action.outcome;
@@ -79,12 +80,12 @@ val send_via :
   data:string ->
   unit ->
   send_result
-(** The sender path against an abstract {!Transport.t}: handshake, machine
-    loop, watchdog, telemetry — everything in {!send} except the socket.
+(** {!send} against an abstract {!Transport.t}: everything but the socket.
     [ctx.clock] must be the transport's notion of time (virtual time for a
     memnet transport); [ctx.batch] is ignored, the transport already decided
     how it sends. This is the entry point the deterministic-simulation
-    harness drives over an in-memory network. *)
+    harness drives over an in-memory network, where a closed endpoint's
+    [Memnet.Net.Closed] propagates out. *)
 
 val send :
   ?ctx:Io_ctx.t ->
@@ -106,11 +107,13 @@ val send :
     ({!Protocol.Config.fresh_transfer_id}), so concurrent senders from one
     process cannot collide on a server's [(sockaddr, transfer_id)] key. A
     handshake that exhausts its attempts returns [Peer_unreachable] (it does
-    not raise). With [rtt], timeouts adapt to measured round trips instead
-    of the fixed interval (adaptive tuning creates an estimator
-    automatically); pacing sleeps after each data datagram so an unthrottled
-    blast does not overrun the receiver's socket buffer (and disables
-    batching).
+    not raise); empty data or [packet_bytes] outside [\[1, 65479\]]
+    raise [Invalid_argument] before any datagram is sent. With [rtt],
+    timeouts adapt to measured round trips instead of the fixed interval
+    (adaptive tuning creates an estimator automatically); pacing sleeps
+    after each data datagram so an unthrottled blast does not overrun the
+    receiver's socket buffer (and disables batching). [elapsed_ns] runs
+    from the handshake ACK (from the first REQ if none came).
 
     [ctx.faults] runs every outgoing datagram through a Netem pipeline (its
     injection count is surfaced in [counters.faults_injected]).
@@ -120,22 +123,8 @@ val send :
     the counter record and an elapsed-time gauge, labelled
     [side=sender, transport=udp]. *)
 
-val serve_one_via :
-  ?ctx:Io_ctx.t ->
-  ?linger_ns:int ->
-  ?idle_timeout_ns:int ->
-  ?accept_timeout_ns:int ->
-  ?suite:Protocol.Suite.t ->
-  transport:Transport.t ->
-  unit ->
-  receive_result
-(** {!serve_one} against an abstract {!Transport.t} — the single-flow
-    receiver the simulation harness can host on a memnet endpoint. Same
-    clock caveat as {!send_via}. *)
-
 val serve_one :
   ?ctx:Io_ctx.t ->
-  ?linger_ns:int ->
   ?idle_timeout_ns:int ->
   ?accept_timeout_ns:int ->
   ?suite:Protocol.Suite.t ->
@@ -144,11 +133,11 @@ val serve_one :
   receive_result
 (** Accepts one incoming transfer and returns the reassembled data. Timers
     come from [ctx.tuning]; after the transfer completes the receiver
-    lingers for [linger_ns] (default 3x the retransmission interval) to
-    re-acknowledge duplicate terminators from a sender whose final ack was
-    lost. The protocol suite normally travels in the REQ, so both ends match
-    automatically; [suite] is only a fallback for senders that omit it. An
-    adaptive (budget-stamped) REQ is always honoured — see {!Flow.create}.
+    lingers for 3x the retransmission interval to re-acknowledge duplicate
+    terminators from a sender whose final ack was lost. The protocol suite
+    normally travels in the REQ, so both ends match automatically; [suite]
+    is only a fallback for senders that omit it. An adaptive
+    (budget-stamped) REQ is always honoured — see {!Flow.create}.
 
     Blocks until a [REQ] arrives unless [accept_timeout_ns] is given. Once a
     transfer is underway, a sender that goes silent for [idle_timeout_ns]

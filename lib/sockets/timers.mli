@@ -1,4 +1,5 @@
-(** Binary min-heap of timer deadlines for the server event loop.
+(** Binary min-heap of timer deadlines: the engine's flow ticks and
+    {!Loop}'s netem-delayed emissions.
 
     Deadlines are monotonic-clock nanoseconds; payloads are opaque. The heap
     supports lazy invalidation: callers push a new entry whenever a wake-up

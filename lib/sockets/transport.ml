@@ -9,7 +9,7 @@ type t = {
   wake : (unit -> unit) option;
 }
 
-(* Widest [recvmmsg] drain: the engine's default drain budget. The ring
+(* Widest [recvmmsg] drain: the engine's drain budget. The ring
    only reaches it under a backlog that deep (see {!Batch.create_rx}). *)
 let rx_ring_capacity = 64
 

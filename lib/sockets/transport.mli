@@ -1,10 +1,10 @@
-(** The datagram transport interface: one record of operations that every
-    protocol loop — the sender path in {!Peer}, the single-flow receiver,
-    and the multiplexed [Server.Engine] — programs against.
+(** The datagram transport interface: one record of operations that the
+    one event loop, {!Loop} — under the sender and receiver of {!Peer} and
+    the multiplexed [Server.Engine] alike — programs against.
 
     Two interpreters exist: {!udp} wraps a real socket (with optional
     [sendmmsg]/[recvmmsg] batching, exactly the former hard-wired fast
-    path), and [Memnet.Net.transport] runs the same loops over an in-memory
+    path), and [Memnet.Net.transport] runs the same loop over an in-memory
     network under [Eventsim] virtual time. Protocol code cannot tell them
     apart, which is what makes whole-system deterministic simulation
     possible: the code that serves real traffic is the code under test.
@@ -29,7 +29,7 @@ type t = {
           forever). Blocking here is interpreter-defined: a thread blocks on
           [select], a simulated process suspends in virtual time. *)
   poll : unit -> [ `Empty | `Datagram of view ];
-      (** non-blocking [recv] — the server drain loop *)
+      (** non-blocking [recv] — the loop's drain *)
   sleep_ns : int -> unit;
       (** pacing and injected-delay sleeps, in the transport's notion of
           time *)
@@ -74,5 +74,5 @@ val recv_message :
   [ `Timeout
   | `Message of Packet.Message.t * Unix.sockaddr
   | `Garbage of Packet.Codec.error ]
-(** [recv] plus the codec: the one decode step every loop performed by
-    hand. *)
+(** [recv] plus the codec, for a one-off exchange outside a {!Loop} (the
+    ring's manifest query). *)

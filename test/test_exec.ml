@@ -159,7 +159,7 @@ let test_sweep_bit_identical_across_jobs () =
 let test_metrics_domain_safety () =
   let metrics = Obs.Metrics.create () in
   let c = Obs.Metrics.counter metrics "hammered" in
-  let h = Obs.Metrics.histogram metrics ~lo:0.0 ~hi:100.0 ~bins:10 "latency" in
+  let h = Obs.Metrics.histogram metrics "latency" in
   let s = Obs.Metrics.summary metrics "spread" in
   let per_domain = 25_000 in
   let hammer () =

@@ -9,14 +9,14 @@ let scenario name =
 (* ------------------------------------------------------------- timer heap *)
 
 let test_timers_ordering () =
-  let heap = Server.Timers.create () in
-  Alcotest.(check bool) "fresh heap empty" true (Server.Timers.is_empty heap);
-  List.iter (fun d -> Server.Timers.add heap ~deadline:d d) [ 50; 10; 30; 20; 40; 10 ];
-  Alcotest.(check (option int)) "peek is min" (Some 10) (Server.Timers.peek_deadline heap);
-  Alcotest.(check int) "six entries" 6 (Server.Timers.length heap);
+  let heap = Sockets.Timers.create () in
+  Alcotest.(check bool) "fresh heap empty" true (Sockets.Timers.is_empty heap);
+  List.iter (fun d -> Sockets.Timers.add heap ~deadline:d d) [ 50; 10; 30; 20; 40; 10 ];
+  Alcotest.(check (option int)) "peek is min" (Some 10) (Sockets.Timers.peek_deadline heap);
+  Alcotest.(check int) "six entries" 6 (Sockets.Timers.length heap);
   let popped = ref [] in
   let rec drain () =
-    match Server.Timers.pop heap with
+    match Sockets.Timers.pop heap with
     | Some (_, payload) ->
         popped := payload :: !popped;
         drain ()
@@ -26,14 +26,14 @@ let test_timers_ordering () =
   Alcotest.(check (list int)) "sorted drain" [ 10; 10; 20; 30; 40; 50 ] (List.rev !popped)
 
 let test_timers_pop_due () =
-  let heap = Server.Timers.create () in
-  Server.Timers.add heap ~deadline:100 "late";
-  Server.Timers.add heap ~deadline:10 "due";
+  let heap = Sockets.Timers.create () in
+  Sockets.Timers.add heap ~deadline:100 "late";
+  Sockets.Timers.add heap ~deadline:10 "due";
   Alcotest.(check (option string)) "due entry pops" (Some "due")
-    (Server.Timers.pop_due heap ~now:50);
-  Alcotest.(check (option string)) "future entry does not" None (Server.Timers.pop_due heap ~now:50);
+    (Sockets.Timers.pop_due heap ~now:50);
+  Alcotest.(check (option string)) "future entry does not" None (Sockets.Timers.pop_due heap ~now:50);
   Alcotest.(check (option string)) "until its time comes" (Some "late")
-    (Server.Timers.pop_due heap ~now:100)
+    (Sockets.Timers.pop_due heap ~now:100)
 
 (* The heap against a naive sorted-list model, under random interleavings of
    insert, cancel, and pop-due — duplicate deadlines and cancel-after-fire
@@ -48,7 +48,7 @@ let prop_timers_match_model =
   in
   QCheck.Test.make ~name:"timer heap agrees with sorted-list model" ~count:300 op_gen
     (fun ops ->
-      let heap = Server.Timers.create () in
+      let heap = Sockets.Timers.create () in
       let model = ref [] in
       (* Monotone clock: pop_due must never see time move backwards. *)
       let now = ref 0 in
@@ -65,7 +65,7 @@ let prop_timers_match_model =
             Some deadline
       in
       let pop_due_agrees () =
-        match (Server.Timers.pop_due heap ~now:!now, model_pop_due ()) with
+        match (Sockets.Timers.pop_due heap ~now:!now, model_pop_due ()) with
         | None, None -> true
         | Some id, Some deadline ->
             let candidates = List.filter (fun (d, _) -> d = deadline) !model in
@@ -85,7 +85,7 @@ let prop_timers_match_model =
             let id = !next_id in
             next_id := id + 1;
             let deadline = !now + value in
-            Server.Timers.add heap ~deadline id;
+            Sockets.Timers.add heap ~deadline id;
             model := (deadline, id) :: !model;
             true
         | 3 ->
@@ -102,7 +102,7 @@ let prop_timers_match_model =
          two sides agree entry for entry. *)
       now := max_int;
       let rec drain last =
-        match Server.Timers.pop_due heap ~now:!now with
+        match Sockets.Timers.pop_due heap ~now:!now with
         | None -> !model = []
         | Some id -> (
             match List.sort compare !model with
@@ -116,9 +116,9 @@ let prop_timers_match_model =
                    end)
       in
       ok
-      && Server.Timers.length heap = List.length !model
+      && Sockets.Timers.length heap = List.length !model
       && Option.equal ( = )
-           (Server.Timers.peek_deadline heap)
+           (Sockets.Timers.peek_deadline heap)
            (match List.sort compare !model with [] -> None | (d, _) :: _ -> Some d)
       && drain min_int)
 
@@ -253,6 +253,132 @@ let test_flow_rejects_bad_geometry () =
   | Error `Not_a_req -> ()
   | _ -> Alcotest.fail "non-REQ accepted"
 
+(* ------------------------------------- sans-IO initiating flow, no sockets *)
+
+(* 700 bytes in 256-byte packets: a three-packet transfer, id 9. *)
+let initiate ?rtt ?idle_timeout_ns
+    ?(tuning = Protocol.Tuning.fixed ~retransmit_ns:1_000_000 ~max_attempts:6 ()) ~now () =
+  let counters = Protocol.Counters.create () in
+  let probe = Obs.Probe.create ~lane:"test" ~counters () in
+  Sockets.Flow.initiate ?rtt ?idle_timeout_ns ~tuning ~packet_bytes:256
+    ~suite:(Protocol.Suite.Blast Protocol.Blast.Go_back_n) ~transfer_id:9 ~probe ~counters
+    ~now (String.make 700 'd')
+
+let sent actions = List.map (fun (Sockets.Flow.Transmit m) -> m) actions
+
+let the_req actions =
+  match sent actions with
+  | [ m ] when m.Packet.Message.kind = Packet.Kind.Req -> m
+  | _ -> Alcotest.fail "expected exactly one REQ"
+
+let outcome flow =
+  match Sockets.Flow.status flow with
+  | `Done c -> Some (Format.asprintf "%a" Protocol.Action.pp_outcome c.Sockets.Flow.outcome)
+  | `Running | `Lingering -> None
+
+let outcome_is flow expected =
+  Alcotest.(check (option string)) "outcome"
+    (Some (Format.asprintf "%a" Protocol.Action.pp_outcome expected))
+    (outcome flow)
+
+let handshake_ack ?budget ?(transfer_id = 9) () =
+  let ack = Packet.Message.ack ~transfer_id ~seq:0 ~total:3 in
+  match budget with Some b -> Packet.Message.with_budget ack b | None -> ack
+
+let test_initiate_silence () =
+  let tuning = Protocol.Tuning.adaptive ~retransmit_ns:1_000_000 ~max_attempts:6 () in
+  let flow, actions = initiate ~tuning ~now:0 () in
+  let v2 actions = Packet.Message.budget (the_req actions) <> None in
+  let versions = ref [ v2 actions ] in
+  for attempt = 2 to 6 do
+    let due = (attempt - 1) * 1_000_000 in
+    Alcotest.(check (option int)) "REQ timer" (Some due) (Sockets.Flow.next_deadline flow);
+    Alcotest.(check int) "nothing before the timer" 0
+      (List.length (Sockets.Flow.on_tick flow ~now:(due - 1)));
+    versions := v2 (Sockets.Flow.on_tick flow ~now:due) :: !versions
+  done;
+  Alcotest.(check (list bool)) "v2 on attempts 1-3 and odd ones, v1 on even ones from 4"
+    [ true; true; true; false; true; false ] (List.rev !versions);
+  Alcotest.(check int) "no seventh REQ" 0
+    (List.length (Sockets.Flow.on_tick flow ~now:6_000_000));
+  outcome_is flow Protocol.Action.Peer_unreachable;
+  Alcotest.(check (option int)) "settled: no deadline" None (Sockets.Flow.next_deadline flow)
+
+let test_initiate_garbage_and_foreign () =
+  let tuning = Protocol.Tuning.fixed ~retransmit_ns:1_000_000 ~max_attempts:3 () in
+  let flow, _ = initiate ~tuning ~now:0 () in
+  ignore (the_req (Sockets.Flow.on_garbage flow ~now:400 Packet.Codec.Too_short));
+  Alcotest.(check (option int)) "garbage resends at once" (Some 1_000_400)
+    (Sockets.Flow.next_deadline flow);
+  Alcotest.(check int) "garbage counted" 1
+    (Sockets.Flow.counters flow).Protocol.Counters.garbage_received;
+  ignore (the_req (Sockets.Flow.on_message flow ~now:700 (handshake_ack ~transfer_id:10 ())));
+  Alcotest.(check (option int)) "a foreign id resends at once" (Some 1_000_700)
+    (Sockets.Flow.next_deadline flow);
+  Alcotest.(check int) "the third attempt was the last" 0
+    (List.length (Sockets.Flow.on_garbage flow ~now:900 Packet.Codec.Too_short));
+  outcome_is flow Protocol.Action.Peer_unreachable
+
+let test_initiate_rejected () =
+  let flow, _ = initiate ~now:0 () in
+  Alcotest.(check int) "REJ sends nothing" 0
+    (List.length (Sockets.Flow.on_message flow ~now:10 (Packet.Message.rej ~transfer_id:9)));
+  outcome_is flow Protocol.Action.Rejected;
+  Alcotest.(check int) "no retry" 0 (List.length (Sockets.Flow.on_tick flow ~now:1_000_000))
+
+let test_initiate_ack_settles_regime () =
+  let tuning = Protocol.Tuning.adaptive ~retransmit_ns:1_000_000 ~max_attempts:6 () in
+  let train ack =
+    let flow, _ = initiate ~tuning ~now:0 () in
+    let train = sent (Sockets.Flow.on_message flow ~now:50 ack) in
+    Alcotest.(check bool) "the ACK starts the blast" true
+      (train <> [] && List.for_all (fun m -> m.Packet.Message.kind = Packet.Kind.Data) train);
+    Alcotest.(check int) "elapsed starts at the ACK" 50 (Sockets.Flow.started_ns flow);
+    (flow, List.exists (fun m -> Packet.Message.budget m <> None) train)
+  in
+  let flow, solicits_v2 = train (handshake_ack ~budget:16 ()) in
+  Alcotest.(check bool) "budget-stamped ACK: adaptive" true (Sockets.Flow.adaptive flow);
+  Alcotest.(check bool) "adaptive trains solicit in v2" true solicits_v2;
+  let flow, solicits_v2 = train (handshake_ack ()) in
+  Alcotest.(check bool) "bare ACK: negotiated down" false (Sockets.Flow.adaptive flow);
+  Alcotest.(check bool) "fixed trains stay v1" false solicits_v2
+
+let test_initiate_idle_watchdog () =
+  let flow, _ = initiate ~idle_timeout_ns:300_000 ~now:0 () in
+  ignore (Sockets.Flow.on_message flow ~now:100 (handshake_ack ()) : Sockets.Flow.action list);
+  Alcotest.(check (option int)) "watchdog armed at the ACK" (Some 300_100)
+    (Sockets.Flow.next_deadline flow);
+  (* Any datagram, even another transfer's, is evidence the peer is alive. *)
+  ignore
+    (Sockets.Flow.on_message flow ~now:200_000 (handshake_ack ~transfer_id:77 ())
+      : Sockets.Flow.action list);
+  Alcotest.(check (option int)) "reset by a foreign datagram" (Some 500_000)
+    (Sockets.Flow.next_deadline flow);
+  ignore (Sockets.Flow.on_tick flow ~now:500_000 : Sockets.Flow.action list);
+  outcome_is flow Protocol.Action.Peer_unreachable
+
+let test_initiate_karn () =
+  let final = Packet.Message.ack ~transfer_id:9 ~seq:3 ~total:3 in
+  let run ~timeout =
+    let rtt = Protocol.Rtt.create ~initial_ns:1_000_000 () in
+    let flow, _ = initiate ~rtt ~now:0 () in
+    ignore (Sockets.Flow.on_message flow ~now:0 (handshake_ack ()) : Sockets.Flow.action list);
+    let now =
+      if timeout then begin
+        let due = Option.get (Sockets.Flow.next_deadline flow) in
+        Alcotest.(check bool) "the timeout retransmits" true
+          (Sockets.Flow.on_tick flow ~now:due <> []);
+        due
+      end
+      else 0
+    in
+    ignore (Sockets.Flow.on_message flow ~now:(now + 5_000) final : Sockets.Flow.action list);
+    outcome_is flow Protocol.Action.Success;
+    Protocol.Rtt.samples rtt
+  in
+  Alcotest.(check int) "a clean round trip is sampled" 1 (run ~timeout:false);
+  Alcotest.(check int) "the ACK after a timeout is not (Karn's rule)" 0 (run ~timeout:true)
+
 (* ------------------------------------------------------- admission control *)
 
 (* Raw REQs against a capped engine: flow N+1 gets a REJ datagram back. *)
@@ -372,6 +498,17 @@ let () =
           Alcotest.test_case "pure sans-IO transfer" `Quick test_flow_pure_transfer;
           Alcotest.test_case "idle watchdog aborts" `Quick test_flow_idle_watchdog;
           Alcotest.test_case "bad geometry refused" `Quick test_flow_rejects_bad_geometry;
+        ] );
+      ( "initiate",
+        [
+          Alcotest.test_case "silence retries, then unreachable" `Quick test_initiate_silence;
+          Alcotest.test_case "garbage and foreign ids cost attempts" `Quick
+            test_initiate_garbage_and_foreign;
+          Alcotest.test_case "REJ settles Rejected" `Quick test_initiate_rejected;
+          Alcotest.test_case "ACK budget settles the regime" `Quick
+            test_initiate_ack_settles_regime;
+          Alcotest.test_case "idle watchdog once running" `Quick test_initiate_idle_watchdog;
+          Alcotest.test_case "Karn's rule" `Quick test_initiate_karn;
         ] );
       ( "admission",
         [

@@ -155,6 +155,72 @@ let test_empty_data_rejected () =
             (Sockets.Peer.send ~socket ~peer:address
                ~suite:(Protocol.Suite.Blast Protocol.Blast.Go_back_n) ~data:"" ())))
 
+(* A packet size no UDP datagram can carry fails at the call, before the
+   transport sees a single datagram. *)
+let test_bad_packet_bytes_rejected () =
+  let untouched what = Alcotest.failf "the transport was asked to %s" what in
+  let transport =
+    {
+      Sockets.Transport.send = (fun ~peer:_ ~on_outcome:_ _ -> untouched "send");
+      flush = (fun () -> untouched "flush");
+      recv = (fun ~timeout_ns:_ -> untouched "receive");
+      poll = (fun () -> untouched "poll");
+      sleep_ns = (fun _ -> untouched "sleep");
+      wake = None;
+    }
+  in
+  List.iter
+    (fun packet_bytes ->
+      match
+        Sockets.Peer.send_via ~packet_bytes ~transport
+          ~peer:(Unix.ADDR_INET (Unix.inet_addr_loopback, 9))
+          ~suite:(Protocol.Suite.Blast Protocol.Blast.Go_back_n)
+          ~data:(String.make 200_000 'x') ()
+      with
+      | _ -> Alcotest.failf "packet_bytes %d accepted" packet_bytes
+      | exception Invalid_argument _ -> ())
+    [ 0; -5; 65_484; 70_000 ]
+
+(* The largest legal packet: 65479 payload bytes plus the 28-byte v2 header
+   fill one 65507-byte UDP datagram. The receiver's accept timeout keeps a
+   refused send from hanging the test. *)
+let test_largest_packet_adaptive () =
+  let data = random_data (Stats.Rng.create ~seed:12) 200_000 in
+  let ctx =
+    Sockets.Io_ctx.make ~tuning:(Protocol.Tuning.adaptive ~retransmit_ns:20_000_000 ()) ()
+  in
+  let receiver_socket, receiver_address = Sockets.Udp.create_socket () in
+  let sender_socket, _ = Sockets.Udp.create_socket () in
+  let received = ref None in
+  let thread =
+    Thread.create
+      (fun () ->
+        received :=
+          Some
+            (Sockets.Peer.serve_one ~ctx ~accept_timeout_ns:2_000_000_000
+               ~socket:receiver_socket ()))
+      ()
+  in
+  let sent =
+    match
+      Sockets.Peer.send ~ctx ~packet_bytes:65_479 ~socket:sender_socket ~peer:receiver_address
+        ~suite:(Protocol.Suite.Blast Protocol.Blast.Go_back_n) ~data ()
+    with
+    | r -> Some r
+    | exception Invalid_argument _ -> None
+  in
+  Thread.join thread;
+  Sockets.Udp.close receiver_socket;
+  Sockets.Udp.close sender_socket;
+  match (sent, !received) with
+  | Some sent, Some received ->
+      Alcotest.(check bool) "completes" true
+        (sent.Sockets.Peer.outcome = Protocol.Action.Success);
+      Alcotest.(check bool) "adaptive" true sent.Sockets.Peer.adaptive;
+      Alcotest.(check bool) "bytes intact" true (String.equal data received.Sockets.Peer.data)
+  | None, _ -> Alcotest.fail "65479-byte packets refused"
+  | Some _, None -> Alcotest.fail "receiver raised"
+
 let test_geometry_roundtrip () =
   let m = Packet.Message.req_with_geometry ~transfer_id:9 ~packet_bytes:512 ~total_bytes:5_000 in
   Alcotest.(check int) "derived total" 10 m.Packet.Message.total;
@@ -177,6 +243,8 @@ let main_suites =
           Alcotest.test_case "large transfer" `Quick test_large_transfer;
           Alcotest.test_case "small packets" `Quick test_small_packets;
           Alcotest.test_case "empty data rejected" `Quick test_empty_data_rejected;
+          Alcotest.test_case "bad packet sizes rejected" `Quick test_bad_packet_bytes_rejected;
+          Alcotest.test_case "largest packet, adaptive" `Quick test_largest_packet_adaptive;
           Alcotest.test_case "geometry roundtrip" `Quick test_geometry_roundtrip;
         ] );
       ( "lossy",

@@ -1,4 +1,4 @@
-(* Tests for the stats substrate: RNG, summaries, histograms, distributions. *)
+(* Tests for the stats substrate: RNG, summaries, distributions. *)
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_close epsilon = Alcotest.(check (float epsilon))
@@ -196,36 +196,6 @@ let prop_welford_matches_naive =
       let got = Stats.Summary.variance s in
       Float.abs (got -. var) <= 1e-6 *. Float.max 1.0 (Float.abs var))
 
-(* ------------------------------------------------------------ Histogram *)
-
-let test_histogram_linear_binning () =
-  let h = Stats.Histogram.linear ~lo:0.0 ~hi:10.0 ~bins:10 in
-  List.iter (Stats.Histogram.add h) [ 0.0; 0.5; 1.5; 9.99; -1.0; 10.0; 25.0 ];
-  Alcotest.(check int) "total" 7 (Stats.Histogram.count h);
-  Alcotest.(check int) "bin 0" 2 (Stats.Histogram.bin_count h 0);
-  Alcotest.(check int) "bin 1" 1 (Stats.Histogram.bin_count h 1);
-  Alcotest.(check int) "bin 9" 1 (Stats.Histogram.bin_count h 9);
-  Alcotest.(check int) "underflow" 1 (Stats.Histogram.underflow h);
-  Alcotest.(check int) "overflow" 2 (Stats.Histogram.overflow h)
-
-let test_histogram_log_bounds () =
-  let h = Stats.Histogram.logarithmic ~lo:1.0 ~hi:1000.0 ~bins:3 in
-  let lo, hi = Stats.Histogram.bin_bounds h 1 in
-  check_close 1e-6 "log bin lower edge" 10.0 lo;
-  check_close 1e-6 "log bin upper edge" 100.0 hi
-
-let test_histogram_quantile () =
-  let h = Stats.Histogram.linear ~lo:0.0 ~hi:100.0 ~bins:100 in
-  for i = 0 to 99 do
-    Stats.Histogram.add h (float_of_int i +. 0.5)
-  done;
-  check_close 2.0 "median near 50" 50.0 (Stats.Histogram.quantile h 0.5);
-  check_close 2.0 "p90 near 90" 90.0 (Stats.Histogram.quantile h 0.9)
-
-let test_histogram_empty_quantile () =
-  let h = Stats.Histogram.linear ~lo:0.0 ~hi:1.0 ~bins:4 in
-  Alcotest.(check bool) "empty quantile nan" true (Float.is_nan (Stats.Histogram.quantile h 0.5))
-
 (* --------------------------------------------------------- Distribution *)
 
 let test_exchange_failure_prob () =
@@ -327,13 +297,6 @@ let () =
         :: Alcotest.test_case "merge matches union" `Quick test_summary_merge_matches_union
         :: Alcotest.test_case "merge with empty" `Quick test_summary_merge_empty
         :: qcheck [ prop_welford_matches_naive ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "linear binning" `Quick test_histogram_linear_binning;
-          Alcotest.test_case "log bounds" `Quick test_histogram_log_bounds;
-          Alcotest.test_case "quantile" `Quick test_histogram_quantile;
-          Alcotest.test_case "empty quantile" `Quick test_histogram_empty_quantile;
-        ] );
       ( "distribution",
         [
           Alcotest.test_case "exchange failure prob" `Quick test_exchange_failure_prob;
