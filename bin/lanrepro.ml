@@ -719,129 +719,6 @@ let restore_cmd =
     (Cmd.info "restore" ~doc:"Receive one dump and extract it")
     Term.(const run $ port $ root $ tx_loss $ seed)
 
-(* ------------------------------------------------------------------ chaos *)
-
-let chaos_cmd =
-  let run iters seed bytes scenario_names suite_names jobs trace_out metrics_out =
-    require_positive ~cmd:"chaos" ~flag:"size" bytes;
-    let jobs = effective_jobs jobs in
-    let scenarios =
-      match scenario_names with
-      | [] -> Faults.Scenario.all
-      | names -> List.filter_map (fun name -> resolve_scenario (Some name)) names
-    in
-    let suites =
-      match suite_names with
-      | [] -> Sockets.Chaos.all_suites
-      | names ->
-          List.map
-            (fun s ->
-              match protocol_of_string s with
-              | `Ok p -> p
-              | `Error m ->
-                  prerr_endline m;
-                  exit 2)
-            names
-    in
-    let combined_stats (r : Sockets.Chaos.run) =
-      let s = Faults.Netem.create_stats () in
-      let add (x : Faults.Netem.stats) =
-        s.Faults.Netem.dropped <- s.Faults.Netem.dropped + x.Faults.Netem.dropped;
-        s.Faults.Netem.duplicated <- s.Faults.Netem.duplicated + x.Faults.Netem.duplicated;
-        s.Faults.Netem.reordered <- s.Faults.Netem.reordered + x.Faults.Netem.reordered;
-        s.Faults.Netem.corrupted <- s.Faults.Netem.corrupted + x.Faults.Netem.corrupted;
-        s.Faults.Netem.truncated <- s.Faults.Netem.truncated + x.Faults.Netem.truncated;
-        s.Faults.Netem.delayed <- s.Faults.Netem.delayed + x.Faults.Netem.delayed
-      in
-      add r.Sockets.Chaos.sender_faults;
-      add r.Sockets.Chaos.receiver_faults;
-      s
-    in
-    let detections (r : Sockets.Chaos.run) =
-      let of_counters (c : Protocol.Counters.t) =
-        (c.Protocol.Counters.corrupt_detected, c.Protocol.Counters.garbage_received)
-      in
-      let sc, sg =
-        match r.Sockets.Chaos.send with
-        | Some s -> of_counters s.Sockets.Peer.counters
-        | None -> (0, 0)
-      in
-      let rc, rg =
-        match r.Sockets.Chaos.received with
-        | Some rr -> of_counters rr.Sockets.Peer.receive_counters
-        | None -> (0, 0)
-      in
-      (sc + rc, sg + rg)
-    in
-    let rows = ref [] in
-    let progress (r : Sockets.Chaos.run) =
-      let label =
-        Printf.sprintf "%s/%s"
-          (Protocol.Suite.name r.Sockets.Chaos.suite)
-          (Faults.Scenario.name r.Sockets.Chaos.scenario)
-      in
-      let corrupt_detected, garbage_received = detections r in
-      rows :=
-        {
-          Report.Fault_table.label;
-          stats = combined_stats r;
-          corrupt_detected;
-          garbage_received;
-          outcome =
-            (if Sockets.Chaos.ok r then Sockets.Chaos.outcome_name r else "VIOLATION");
-        }
-        :: !rows;
-      Printf.printf "  %-28s %s\n%!" label (Sockets.Chaos.outcome_name r)
-    in
-    Printf.printf "chaos soak: %d suites x %d scenarios x %d iters, %d bytes each, %d jobs\n%!"
-      (List.length suites) (List.length scenarios) iters bytes jobs;
-    let recorder, metrics, flush = telemetry trace_out metrics_out in
-    let ctx = make_ctx ?recorder ?metrics None in
-    let runs =
-      Sockets.Chaos.run_campaign ~bytes ~ctx ~suites ~scenarios ~iters ~seed ~progress
-        ~jobs ()
-    in
-    flush ();
-    print_newline ();
-    print_string (Report.Fault_table.render (List.rev !rows));
-    let violations = Sockets.Chaos.violations runs in
-    let completed = Sockets.Chaos.completed runs in
-    Printf.printf "\n%d runs: %d completed, %d clean failures, %d violations\n"
-      (List.length runs) completed
-      (List.length runs - completed - List.length violations)
-      (List.length violations);
-    List.iter
-      (fun (r : Sockets.Chaos.run) ->
-        Printf.printf "VIOLATION %s/%s (seed %d): %s\n"
-          (Protocol.Suite.name r.Sockets.Chaos.suite)
-          (Faults.Scenario.name r.Sockets.Chaos.scenario)
-          r.Sockets.Chaos.seed
-          (Option.value r.Sockets.Chaos.violation ~default:"?"))
-      violations;
-    if violations <> [] then exit 1
-  in
-  let iters =
-    Arg.(value & opt int 3 & info [ "iters" ] ~docv:"N" ~doc:"Iterations per suite x scenario cell.")
-  in
-  let bytes =
-    Arg.(value & opt int 6000 & info [ "size" ] ~docv:"BYTES" ~doc:"Transfer size per run.")
-  in
-  let scenarios =
-    Arg.(value & opt_all string [] & info [ "scenario" ] ~docv:"NAME"
-         ~doc:"Fault scenario to run (repeatable; default: all of clean, lossy2, bursty, corrupting, chaos).")
-  in
-  let suites =
-    Arg.(value & opt_all string [] & info [ "suite" ] ~docv:"PROTO"
-         ~doc:"Protocol suite to include (repeatable, same syntax as --protocol; default: all seven).")
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:"Chaos soak over real UDP: every protocol suite against adversarial fault scenarios; \
-             fails if any transfer hangs, exceeds its attempt bound, or delivers corrupt data")
-    Term.(
-      const run $ iters $ seed $ bytes $ scenarios $ suites $ jobs $ trace_out
-      $ metrics_out)
-
 (* ------------------------------------------------------------ serve/swarm *)
 
 let string_of_sockaddr = function
@@ -1035,10 +912,16 @@ let swarm_cmd =
     Printf.printf "server-verified transfers: %d/%d\n"
       (Server.Swarm.server_verified report)
       report.Server.Swarm.completed;
+    List.iter (Printf.printf "VIOLATION %s\n") report.Server.Swarm.violations;
+    List.iter (Printf.printf "INVARIANT %s\n") report.Server.Swarm.invariants;
     flush
       ~spans:(match flowtrace with Some ft -> Obs.Flowtrace.spans ft | None -> [])
       ();
-    if report.Server.Swarm.failed > 0 then exit 1
+    if
+      report.Server.Swarm.failed > 0
+      || report.Server.Swarm.violations <> []
+      || report.Server.Swarm.invariants <> []
+    then exit 1
   in
   let flows =
     Arg.(value & opt int 8 & info [ "flows" ] ~docv:"N" ~doc:"Concurrent senders to launch.")
@@ -1054,7 +937,8 @@ let swarm_cmd =
        ~doc:
          "Swarm load generator: drive N concurrent transfers against one in-process \
           server and report aggregate throughput, latency, and admission outcomes; \
-          exits non-zero if any flow fails uncleanly")
+          exits non-zero if any flow fails uncleanly, the delivery oracle or an \
+          engine invariant is breached")
     Term.(
       const run $ flows $ max_flows $ jobs $ size $ packet_bytes $ protocol
       $ scenario_name "scenario" ~doc:"Sender-side fault scenario (independent per sender)."
@@ -1066,7 +950,7 @@ let swarm_cmd =
 
 let dst_cmd =
   let run seed seeds churn fault_name senders transfers max_flows shards until_virtual_s
-      jobs tuning journal_dir =
+      jobs tuning protocols journal_dir =
     require_positive ~cmd:"dst" ~flag:"senders" senders;
     require_positive ~cmd:"dst" ~flag:"transfers" transfers;
     let churn =
@@ -1090,6 +974,7 @@ let dst_cmd =
         shards;
         horizon_ns = int_of_float (until_virtual_s *. 1e9);
         tuning = resolve_tuning ~default:base.Dst.Harness.tuning tuning;
+        suites = (if protocols = [] then base.Dst.Harness.suites else protocols);
       }
     in
     let seed_list = List.init seeds (fun i -> seed + i) in
@@ -1210,6 +1095,15 @@ let dst_cmd =
             "Write each failing seed's event journal, flowtrace, and engine flight \
              ring to DIR (CI artifact hook).")
   in
+  let protocols =
+    Arg.(
+      value
+      & opt_all protocol_conv []
+      & info [ "p"; "protocol" ] ~docv:"PROTO"
+          ~doc:
+            "Protocol suite (repeatable, as for $(b,swarm)): transfer I of sender K \
+             runs the (K + I)-th suite, cyclically. Default: blast:gbn.")
+  in
   Cmd.v
     (Cmd.info "dst"
        ~doc:
@@ -1219,7 +1113,7 @@ let dst_cmd =
           replays bit-for-bit, and thousands of virtual seconds run per wall second")
     Term.(
       const run $ seed $ seeds $ churn $ fault_name $ senders $ transfers $ max_flows
-      $ shards $ until_virtual_s $ jobs $ tuning_flags $ journal_dir)
+      $ shards $ until_virtual_s $ jobs $ tuning_flags $ protocols $ journal_dir)
 
 (* ------------------------------------------------------------ ring transfers *)
 
@@ -1810,7 +1704,6 @@ let () =
             recv_cmd;
             dump_cmd;
             restore_cmd;
-            chaos_cmd;
             serve_cmd;
             swarm_cmd;
             dst_cmd;

@@ -33,9 +33,12 @@ type config = {
   think_max_ns : int;
   packet_bytes : int;
   tuning : Protocol.Tuning.t;
+  suites : Protocol.Suite.t list;
   latency_ns : int;
   horizon_ns : int;
 }
+
+let default_suites = [ Protocol.Suite.Blast Protocol.Blast.Go_back_n ]
 
 let default_config ~seed =
   {
@@ -52,6 +55,7 @@ let default_config ~seed =
     think_max_ns = 2_000_000_000;
     packet_bytes = 1024;
     tuning = Protocol.Tuning.fixed ~retransmit_ns:20_000_000 ~max_attempts:20 ();
+    suites = default_suites;
     latency_ns = 50_000;
     horizon_ns = 60_000_000_000;
   }
@@ -106,9 +110,7 @@ type harness = {
   slots : slot list ref;  (** insertion order — the churn picker's stable index *)
   remaining : int ref;  (** non-terminal participants *)
   shutdown : bool ref;  (** final stop requested; no restarts past this *)
-  (* verified-delivery bookkeeping: (port, transfer id, payload crc) -> count *)
-  sent_ok : (int * int * int32, int) Hashtbl.t;
-  served_ok : (int * int * int32, int) Hashtbl.t;
+  ledger : Server.Ledger.t;  (** the delivery oracle *)
   mutable last_activity_ns : int;  (** virtual time of the latest journal line *)
   mutable attempted : int;
   mutable completed : int;
@@ -141,9 +143,6 @@ let port_of = function
   | Unix.ADDR_INET (_, port) -> port
   | Unix.ADDR_UNIX _ -> invalid_arg "dst: ADDR_UNIX peer"
 
-let bump table key =
-  Hashtbl.replace table key (1 + Option.value (Hashtbl.find_opt table key) ~default:0)
-
 let outcome_str o = Format.asprintf "%a" Protocol.Action.pp_outcome o
 
 (* Worst-case clean-failure time for one transfer: handshake and machine
@@ -175,18 +174,7 @@ let finish h slot =
 let on_complete h (e : Server.Engine.completion_event) =
   let c = e.Server.Engine.completion in
   let peer_port = port_of e.Server.Engine.peer in
-  (match c.Sockets.Flow.outcome with
-  | Protocol.Action.Success -> (
-      match c.Sockets.Flow.integrity with
-      | Sockets.Flow.Verified ->
-          bump h.served_ok
-            (peer_port, c.Sockets.Flow.transfer_id,
-             Packet.Checksum.crc32_string c.Sockets.Flow.data)
-      | Sockets.Flow.Mismatch | Sockets.Flow.Not_carried ->
-          violation h
-            (Printf.sprintf "server settled transfer %d from port %d without CRC verification"
-               c.Sockets.Flow.transfer_id peer_port))
-  | _ -> ());
+  Option.iter (violation h) (Server.Ledger.served h.ledger ~peer:e.Server.Engine.peer c);
   line h "server settle peer=%d id=%d outcome=%s bytes=%d" peer_port
     c.Sockets.Flow.transfer_id (outcome_str c.Sockets.Flow.outcome)
     (String.length c.Sockets.Flow.data)
@@ -272,7 +260,7 @@ let packets_of h bytes = (bytes + h.cfg.packet_bytes - 1) / h.cfg.packet_bytes
    address and transfer id the geometry is the only thing distinguishing the
    new transfer's acks from the old one's stragglers, so a replacement never
    repeats its victim's. *)
-let one_transfer h slot ~transport ~rng ~transfer_id ~port ?(avoid_total = 0) () =
+let one_transfer h slot ~ep ~rng ~suite ~transfer_id ?(avoid_total = 0) () =
   let avoidable =
     avoid_total > 0
     && (packets_of h h.cfg.bytes_min <> avoid_total
@@ -285,24 +273,26 @@ let one_transfer h slot ~transport ~rng ~transfer_id ~port ?(avoid_total = 0) ()
   let bytes = pick () in
   let data = payload_for rng bytes in
   let crc = Packet.Checksum.crc32_string data in
+  let packets = packets_of h bytes in
   slot.active_id <- transfer_id;
-  slot.active_total <- packets_of h bytes;
+  slot.active_total <- packets;
   slot.started_at <- now_ns h;
   h.attempted <- h.attempted + 1;
   line h "%s start id=%d bytes=%d crc=%08lx" slot.label transfer_id bytes crc;
   let result =
     Sockets.Peer.send_via
       ~ctx:(Sockets.Io_ctx.make ~clock:(clock_of h) ~tuning:h.cfg.tuning ())
-      ~transfer_id ~packet_bytes:h.cfg.packet_bytes ~transport ~peer:server_address
-      ~suite:(Protocol.Suite.Blast Protocol.Blast.Go_back_n) ~data ()
+      ~transfer_id ~packet_bytes:h.cfg.packet_bytes ~transport:(Net.transport ep)
+      ~peer:server_address ~suite ~data ()
   in
   let outcome = result.Sockets.Peer.outcome in
   line h "%s end id=%d outcome=%s elapsed=%d" slot.label transfer_id (outcome_str outcome)
     result.Sockets.Peer.elapsed_ns;
+  Option.iter (violation h)
+    (Server.Ledger.sent h.ledger ~peer:(Net.address ep) ~transfer_id ~crc
+       ~max_attempts:(Protocol.Tuning.max_attempts h.cfg.tuning) ~packets result);
   (match outcome with
-  | Protocol.Action.Success ->
-      h.completed <- h.completed + 1;
-      bump h.sent_ok (port, transfer_id, crc)
+  | Protocol.Action.Success -> h.completed <- h.completed + 1
   | Protocol.Action.Rejected -> h.rejected <- h.rejected + 1
   | Protocol.Action.Peer_unreachable | Protocol.Action.Too_many_attempts ->
       h.failed <- h.failed + 1);
@@ -321,6 +311,10 @@ let guard h slot body =
            (Printexc.to_string exn));
       finish h slot
 
+(* The suite axis is a pure function of the participant, never an RNG draw,
+   so a single-suite trial keeps its event stream. *)
+let suite_for h n = List.nth h.cfg.suites (n mod List.length h.cfg.suites)
+
 let sender_proc h slot index () =
   guard h slot (fun () ->
       let rng = Stats.Rng.derive ~root:h.cfg.seed ~index:(100 + index) in
@@ -328,10 +322,8 @@ let sender_proc h slot index () =
       Proc.sleep (Time.span_ns (1_000_000 + Stats.Rng.int rng 500_000_000));
       let ep = Net.bind h.net in
       slot.ep <- Some ep;
-      let transport = Net.transport ep in
-      let port = Net.port ep in
       for i = 1 to h.cfg.transfers do
-        one_transfer h slot ~transport ~rng ~transfer_id:i ~port ();
+        one_transfer h slot ~ep ~rng ~suite:(suite_for h (index + i)) ~transfer_id:i ();
         if i < h.cfg.transfers then
           Proc.sleep (Time.span_ns (range rng h.cfg.think_min_ns h.cfg.think_max_ns))
       done;
@@ -348,7 +340,7 @@ let replacement_proc h slot seq ~port ~transfer_id ~avoid_total () =
       Proc.sleep (Time.span_ns (10_000_000 + Stats.Rng.int rng 40_000_000));
       let ep = Net.bind ~port h.net in
       slot.ep <- Some ep;
-      one_transfer h slot ~transport:(Net.transport ep) ~rng ~transfer_id ~port ~avoid_total ();
+      one_transfer h slot ~ep ~rng ~suite:(suite_for h seq) ~transfer_id ~avoid_total ();
       line h "%s done" slot.label;
       finish h slot)
 
@@ -483,6 +475,7 @@ let run cfg =
     invalid_arg "Dst: bad transfer size range";
   if cfg.horizon_ns <= 0 then invalid_arg "Dst: horizon must be positive";
   if cfg.shards <= 0 then invalid_arg "Dst: shards must be positive";
+  if cfg.suites = [] then invalid_arg "Dst: suites must not be empty";
   let sim = Sim.create () in
   let net = Net.create ~sim ~latency_ns:cfg.latency_ns ?scenario:cfg.faults ~seed:cfg.seed () in
   let h =
@@ -498,8 +491,7 @@ let run cfg =
       slots = ref [];
       remaining = ref 0;
       shutdown = ref false;
-      sent_ok = Hashtbl.create 64;
-      served_ok = Hashtbl.create 64;
+      ledger = Server.Ledger.create ();
       last_activity_ns = 0;
       attempted = 0;
       completed = 0;
@@ -513,11 +505,14 @@ let run cfg =
     }
   in
   line h
-    "dst seed=%d churn=%s faults=%s senders=%d transfers=%d max_flows=%d shards=%d tuning=%s"
+    "dst seed=%d churn=%s faults=%s senders=%d transfers=%d max_flows=%d shards=%d tuning=%s%s"
     cfg.seed (churn_name cfg.churn)
     (match cfg.faults with Some s -> Faults.Scenario.name s | None -> "clean")
     cfg.senders cfg.transfers cfg.max_flows cfg.shards
-    (Protocol.Tuning.to_string cfg.tuning);
+    (Protocol.Tuning.to_string cfg.tuning)
+    (* Like [engine_tag]: the default keeps the classic header. *)
+    (if cfg.suites = default_suites then ""
+     else " suites=" ^ String.concat "," (List.map Protocol.Suite.name cfg.suites));
   let env = Proc.env sim in
   for index = 0 to cfg.shards - 1 do
     Proc.spawn env
@@ -554,17 +549,7 @@ let run cfg =
                s.active_id (virtual_ns - s.started_at)))
       !(h.slots)
   end;
-  (* Every sender-side verified success must match a server-side verified
-     delivery of the same (address, id, bytes). *)
-  Hashtbl.iter
-    (fun ((port, id, crc) as key) sent ->
-      let served = Option.value (Hashtbl.find_opt h.served_ok key) ~default:0 in
-      if served < sent then
-        violation h
-          (Printf.sprintf
-             "sender success without verified server delivery: port=%d id=%d crc=%08lx (%d vs %d)"
-             port id crc sent served))
-    h.sent_ok;
+  List.iter (violation h) (Server.Ledger.unmatched h.ledger);
   let any_engine_up = Array.exists Option.is_some h.engines in
   Array.iteri
     (fun index e ->

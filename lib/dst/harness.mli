@@ -10,9 +10,12 @@
 
     Each trial asserts, continuously and at the end:
     - {e verified delivery or clean failure}: every sender finishes with a
-      typed outcome (or is deliberately killed), every server-side [Success]
-      carries a [Verified] whole-segment CRC, and every sender-side success
-      matches a server-side verified delivery of the same bytes;
+      typed outcome (or is deliberately killed), and the delivery oracle
+      {!Server.Ledger} — the one [Server.Swarm] checks over real UDP —
+      holds: every server-side [Success] carries a [Verified] whole-segment
+      CRC, every sender stays within its attempt bound, and every
+      sender-side success matches a server-side verified delivery of the
+      same bytes;
     - {e engine invariants} ([Server.Engine.invariant_violations]) on a
       periodic virtual tick: flow-table cap and coherence, timer-heap
       coverage of every live deadline, admission-totals balance;
@@ -57,14 +60,21 @@ type config = {
       (** one regime for every endpoint — engines advertise budgets from it,
           senders run fixed or adaptive trains per its variant; printed into
           the journal header so a trial is self-describing *)
+  suites : Protocol.Suite.t list;
+      (** the suite axis: transfer [i] (from 1) of sender [k] (from 0) runs
+          [suites.((k + i) mod n)], and reuse replacement [s] runs
+          [suites.(s mod n)] — no RNG draw, so the default
+          [[Blast Go_back_n]] keeps the classic event stream. The journal
+          header lists the suites only when they differ from the default.
+          Empty is [Invalid_argument]. *)
   latency_ns : int;  (** memnet propagation delay *)
   horizon_ns : int;  (** virtual-time budget; the hang backstop *)
 }
 
 val default_config : seed:int -> config
-(** 16 senders x 3 transfers of 2..32 KiB with 0.2..2 s think time, engine
-    capped at 12 flows (per shard), chaos faults, mixed churn, one shard,
-    60 virtual seconds. *)
+(** 16 senders x 3 go-back-n blasts of 2..32 KiB with 0.2..2 s think time,
+    engine capped at 12 flows (per shard), chaos faults, mixed churn, one
+    shard, 60 virtual seconds. *)
 
 type trial = {
   seed : int;

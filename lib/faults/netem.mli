@@ -18,8 +18,6 @@ type stats = {
   mutable delayed : int;
 }
 
-val create_stats : unit -> stats
-
 val total : stats -> int
 (** Sum of all injected fault events. *)
 

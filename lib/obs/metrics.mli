@@ -6,8 +6,8 @@
     summaries wrap {!Stats.Summary}, so the statistical machinery the
     campaigns already use feeds the same snapshots. A
     {!Protocol.Counters.t} record bridges in wholesale via {!add_counters},
-    which is how protocol machines, [Simnet.Driver], [Sockets.Peer] and the
-    chaos soak all land in one registry. Snapshots render as an aligned text
+    which is how protocol machines, [Simnet.Driver], [Sockets.Peer] and
+    [Server.Swarm] all land in one registry. Snapshots render as an aligned text
     table or as JSON.
 
     The registry is safe under concurrent domains, not just threads:

@@ -82,9 +82,14 @@ let sender ?(counters = Counters.create ()) ~strategy ~chunk_packets (config : C
             (* Only feed messages that belong to the active chunk. An Ack's
                cumulative seq belongs to chunk i when offset < seq <=
                offset+len; a Nack's packet index when offset <= seq <
-               offset+len. *)
-            let seq = (match event with Message mm -> mm.Packet.Message.seq | Timeout -> 0) in
+               offset+len. The wire [total] is checked here, before
+               [to_local] replaces it with the chunk length: a foreign total
+               is a straggler from an earlier transfer on this address and
+               id, which the inner machine could no longer tell apart. *)
+            let seq = m.Packet.Message.seq in
             let belongs =
+              m.Packet.Message.total = config.Config.total_packets
+              &&
               match m.Packet.Message.kind with
               | Packet.Kind.Ack -> seq > offset && seq <= offset + len
               | Packet.Kind.Nack -> seq >= offset && seq < offset + len
@@ -120,7 +125,10 @@ let receiver ?(counters = Counters.create ()) ~strategy ~chunk_packets (config :
   let handle = function
     | Message m when m.Packet.Message.kind = Packet.Kind.Data ->
         let seq = m.Packet.Message.seq in
-        if seq < 0 || seq >= config.Config.total_packets then []
+        if
+          seq < 0 || seq >= config.Config.total_packets
+          || m.Packet.Message.total <> config.Config.total_packets
+        then []
         else begin
           let index = seq / chunk_packets in
           let offset, len, machine = machines.(index) in

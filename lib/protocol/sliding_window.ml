@@ -30,8 +30,11 @@ let sender ?(counters = Counters.create ()) ~window (config : Config.t) ~payload
     counters.Counters.rounds <- counters.Counters.rounds + 1;
     fill_window () @ [ Arm_timer (Config.retransmit_ns config) ]
   in
+  (* As in stop-and-wait: an ACK with another [total] is a straggler from
+     an earlier transfer on this address and id. *)
+  let ours m = m.Packet.Message.total = total in
   let handle = function
-    | Message m when m.Packet.Message.kind = Packet.Kind.Ack ->
+    | Message m when m.Packet.Message.kind = Packet.Kind.Ack && ours m ->
         if !outcome <> None then []
         else if m.Packet.Message.seq > !base then begin
           base := m.Packet.Message.seq;
@@ -81,7 +84,9 @@ let receiver ?(counters = Counters.create ()) (config : Config.t) =
          ~total:config.Config.total_packets)
   in
   let handle = function
-    | Message m when m.Packet.Message.kind = Packet.Kind.Data ->
+    | Message m
+      when m.Packet.Message.kind = Packet.Kind.Data
+           && m.Packet.Message.total = config.Config.total_packets ->
         if m.Packet.Message.seq = !expected then begin
           incr expected;
           counters.Counters.delivered <- counters.Counters.delivered + 1;

@@ -20,8 +20,12 @@ let sender ?(counters = Counters.create ()) (config : Config.t) ~payload =
     ]
   in
   let start () = send_current ~retransmission:false in
+  (* An ACK echoes the geometry we declared. One with another [total] is a
+     straggler from an earlier transfer on this address and id, and its
+     cumulative [seq] counts that transfer's progress, not ours. *)
+  let ours m = m.Packet.Message.total = config.Config.total_packets in
   let handle = function
-    | Message m when m.Packet.Message.kind = Packet.Kind.Ack ->
+    | Message m when m.Packet.Message.kind = Packet.Kind.Ack && ours m ->
         if !outcome <> None then []
         else if m.Packet.Message.seq > !base then begin
           base := m.Packet.Message.seq;
@@ -59,7 +63,9 @@ let receiver ?(counters = Counters.create ()) (config : Config.t) =
          ~total:config.Config.total_packets)
   in
   let handle = function
-    | Message m when m.Packet.Message.kind = Packet.Kind.Data ->
+    | Message m
+      when m.Packet.Message.kind = Packet.Kind.Data
+           && m.Packet.Message.total = config.Config.total_packets ->
         if m.Packet.Message.seq = !expected then begin
           incr expected;
           counters.Counters.delivered <- counters.Counters.delivered + 1;

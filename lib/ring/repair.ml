@@ -17,43 +17,44 @@ let plan ~placement ~object_id ~replicas ~crcs manifest =
 
 (* ---- Manifest query ---------------------------------------------------- *)
 
-(* One MREQ/MREP exchange against an abstract transport: datagram out,
-   wait for the matching reply, retry on silence. Works identically over a
-   real socket and a memnet endpoint — which is what lets the DST scenario
-   drive the very same repair code under virtual time. *)
+(* One MREQ/MREP exchange as a client of the one event loop: [due] sends
+   the MREQ, or gives up once every attempt has timed out; [receive]
+   matches the MREP. Works identically over a real socket and a memnet
+   endpoint — which is what lets the DST scenario drive the very same
+   repair code under virtual time. *)
 let query_via ?(attempts = 5) ?(timeout_ns = 200_000_000) ~clock ~transport ~peer
     ~object_id () =
   let encoded = Packet.Codec.encode (Packet.Stripe.manifest_query ~object_id) in
-  let rec attempt k =
-    if k <= 0 then None
-    else begin
-      transport.Sockets.Transport.send ~peer ~on_outcome:(fun _ -> ()) encoded;
-      transport.Sockets.Transport.flush ();
-      let deadline = clock () + timeout_ns in
-      let rec wait () =
-        let remaining = deadline - clock () in
-        if remaining <= 0 then attempt (k - 1)
-        else
-          match Sockets.Transport.recv_message transport ~timeout_ns:remaining () with
-          | `Timeout -> attempt (k - 1)
-          | `Garbage _ -> wait ()
-          | `Message (m, _) -> (
-              if
-                m.Packet.Message.kind = Packet.Kind.Mrep
-                && m.Packet.Message.transfer_id = object_id
-              then
-                match Packet.Stripe.decode_manifest m.Packet.Message.payload with
-                | Some entries -> Some entries
-                | None -> wait ()
-              else
-                (* Stray traffic on our ephemeral port — late acks of the
-                   put, or an answer about another object. Keep waiting. *)
-                wait ())
-      in
-      wait ()
+  let loop = Sockets.Loop.create ~clock transport in
+  let left = ref attempts and deadline = ref None and answer = ref None in
+  (* Due at the start and at each silent deadline; past the last attempt
+     [left] goes negative, which ends the loop. *)
+  let due ~now =
+    if Option.fold ~none:true ~some:(fun d -> now >= d) !deadline then begin
+      decr left;
+      deadline := Some (now + timeout_ns);
+      if !left >= 0 then Sockets.Loop.send loop ~peer ~on_failed:ignore encoded
     end
   in
-  attempt attempts
+  let receive ~now:_ { Sockets.Transport.buf; len; _ } =
+    match Packet.Codec.decode_sub buf ~pos:0 ~len with
+    | Ok m
+      when m.Packet.Message.kind = Packet.Kind.Mrep
+           && m.Packet.Message.transfer_id = object_id ->
+        answer := Packet.Stripe.decode_manifest m.Packet.Message.payload
+    | Ok _ | Error _ ->
+        (* Stray traffic on our ephemeral port — late acks of the put, or
+           an answer about another object. Keep waiting. *)
+        ()
+  in
+  Sockets.Loop.run loop
+    {
+      Sockets.Loop.next_deadline = (fun () -> !deadline);
+      due;
+      receive;
+      finished = (fun () -> !answer <> None || !left < 0);
+    };
+  !answer
 
 let query ?attempts ?timeout_ns ~peer ~object_id () =
   let socket, _ = Sockets.Udp.create_socket () in

@@ -27,6 +27,7 @@ type report = {
   rollup : Protocol.Counters.t;
   engine_snapshot : Obs.Json.t;
   invariants : string list;
+  violations : string list;
 }
 
 let server_verified report =
@@ -65,8 +66,13 @@ let run ?max_flows ?jobs ?(bytes = 64 * 1024) ?(packet_bytes = 1024)
      the senders from theirs. *)
   let ctx = { ctx with Sockets.Io_ctx.tuning } in
   let metrics = ctx.Sockets.Io_ctx.metrics in
+  let ledger = Ledger.create () in
   let completions = ref [] in
-  let on_complete event = completions := event :: !completions in
+  let on_complete (event : Engine.completion_event) =
+    completions := event :: !completions;
+    ignore
+      (Ledger.served ledger ~peer:event.Engine.peer event.Engine.completion : string option)
+  in
   (* The server side gets its own domain(s): the pool below keeps every
      other domain (including this one) busy running senders, and the server
      must keep ticking its timers while they all blast at it. Past one
@@ -94,14 +100,22 @@ let run ?max_flows ?jobs ?(bytes = 64 * 1024) ?(packet_bytes = 1024)
        pipeline; the server side never sees ctx.faults (per-flow scenario
        seeding covers it). *)
     let sender_ctx = { ctx with Sockets.Io_ctx.faults } in
-    let sender_socket, _ = Sockets.Udp.create_socket () in
+    let sender_socket, sender_address = Sockets.Udp.create_socket () in
     Fun.protect
       ~finally:(fun () -> Sockets.Udp.close sender_socket)
       (fun () ->
+        let transfer_id = index + 1 in
         let result =
-          Sockets.Peer.send ~ctx:sender_ctx ~transfer_id:(index + 1) ~packet_bytes
-            ?idle_timeout_ns ~socket:sender_socket ~peer:server_address ~suite ~data ()
+          Sockets.Peer.send ~ctx:sender_ctx ~transfer_id ~packet_bytes ?idle_timeout_ns
+            ~socket:sender_socket ~peer:server_address ~suite ~data ()
         in
+        ignore
+          (Ledger.sent ledger ~peer:sender_address ~transfer_id
+             ~crc:(Packet.Checksum.crc32_string data)
+             ~max_attempts:(Protocol.Tuning.max_attempts tuning)
+             ~packets:((bytes + packet_bytes - 1) / packet_bytes)
+             result
+            : string option);
         {
           index;
           outcome = result.Sockets.Peer.outcome;
@@ -122,6 +136,7 @@ let run ?max_flows ?jobs ?(bytes = 64 * 1024) ?(packet_bytes = 1024)
   Group.join group;
   let engine_snapshot = Group.snapshot group in
   let invariants = Group.invariant_violations group in
+  let violations = Ledger.violations ledger in
   let count outcome =
     List.length (List.filter (fun s -> s.outcome = outcome) senders)
   in
@@ -170,10 +185,13 @@ let run ?max_flows ?jobs ?(bytes = 64 * 1024) ?(packet_bytes = 1024)
       rollup = Group.rollup group;
       engine_snapshot;
       invariants;
+      violations;
     }
   in
   if invariants <> [] then
     Log.warn (fun f ->
         f "engine invariants violated: %s" (String.concat "; " invariants));
+  if violations <> [] then
+    Log.warn (fun f -> f "delivery oracle breached: %s" (String.concat "; " violations));
   Log.info (fun f -> f "%a" pp_report report);
   report

@@ -12,7 +12,9 @@
     admission cap refused it), or a clean failure — and the report pairs the
     senders' view with the server's: its totals, its merged counter roll-up,
     and the per-flow completion events including the whole-segment CRC
-    verdict. *)
+    verdict. Both views are recorded in a {!Ledger}, the delivery oracle
+    [Dst.Harness] checks under virtual time, so a swarm is the real-UDP arm
+    of the same fault harness. *)
 
 type sender_report = {
   index : int;
@@ -43,6 +45,9 @@ type report = {
       (** {!Group.snapshot} taken after the engine loops exited — its
           [health] section is the loop-health record of the whole run *)
   invariants : string list;  (** {!Group.invariant_violations} at the end *)
+  violations : string list;
+      (** {!Ledger.violations} over every sender outcome and server
+          completion; empty when the oracle holds *)
 }
 
 val server_verified : report -> int

@@ -59,8 +59,8 @@ val run :
     processes are fine.
 
     [sender_faults] / [receiver_faults] put a {!Faults.Netem} pipeline on
-    that side's outgoing messages — the same scenarios the UDP chaos soak
-    uses. Each Netem's injection count is attached to its side's counters;
+    that side's outgoing messages — the same scenarios [Server.Swarm] and
+    [Dst.Harness] run. Each Netem's injection count is attached to its side's counters;
     emissions the codec rejects are charged to the {e opposite} side's
     [corrupt_detected]/[garbage_received] (the interface that would have
     discarded the frame).

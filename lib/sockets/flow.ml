@@ -390,13 +390,16 @@ let acknowledged t i ~now budget =
   t.state <- Running;
   run_actions t ~now (t.machine.Protocol.Machine.start ())
 
-(* Only ACK seq=0 or a REJ for this transfer answers the REQ; anything else
-   costs an attempt. *)
+(* Only ACK seq=0 with the REQ's geometry, or a REJ, for this transfer
+   answers the REQ; anything else costs an attempt. An ACK seq=0 with
+   another [total] answers an earlier transfer on this address and id. *)
 let handshake_reply t i ~now m =
   if m.Packet.Message.transfer_id <> t.transfer_id then retry_req t i ~now
   else
     match m.Packet.Message.kind with
-    | Packet.Kind.Ack when m.Packet.Message.seq = 0 ->
+    | Packet.Kind.Ack
+      when m.Packet.Message.seq = 0
+           && m.Packet.Message.total = t.handshake.Packet.Message.total ->
         acknowledged t i ~now (Packet.Message.budget m)
     | Packet.Kind.Rej ->
         (* Admission refusal from a saturated server: retrying into it only

@@ -2,12 +2,12 @@
     take as parallel optional arguments.
 
     Every transport entry point ({!Peer.send}, {!Peer.serve_one},
-    [Server.Engine.create], [Server.Swarm.run], {!Chaos.run_one}, ...) used
-    to grow its own [?faults]/[?recorder]/[?metrics] triple; they now take a
-    single [?ctx]. The record is deliberately open — build one with {!make},
-    derive variants with functional update ([{ ctx with faults = ... }]),
-    which is how the chaos harness and the swarm hand each endpoint its own
-    fault pipeline while sharing the telemetry sinks. *)
+    [Server.Engine.create], [Server.Swarm.run], ...) used to grow its own
+    [?faults]/[?recorder]/[?metrics] triple; they now take a single [?ctx].
+    The record is deliberately open — build one with {!make}, derive
+    variants with functional update ([{ ctx with faults = ... }]), which is
+    how the swarm hands each endpoint its own fault pipeline while sharing
+    the telemetry sinks. *)
 
 type t = {
   faults : Faults.Netem.t option;

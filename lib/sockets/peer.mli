@@ -146,7 +146,7 @@ val serve_one :
     longer block indefinitely on a dead sender.
 
     [ctx.recorder] journals the receiver's datagram events on lane
-    ["receiver"]; sharing one recorder between [send] and [serve_one] (the
-    chaos soak does) is safe — it is thread-safe and the clock installation
-    is idempotent. [ctx.metrics] receives the counter record labelled
+    ["receiver"]; sharing one recorder between [send] and [serve_one] is
+    safe — it is thread-safe and the clock installation is idempotent.
+    [ctx.metrics] receives the counter record labelled
     [side=receiver, transport=udp]. *)

@@ -123,11 +123,3 @@ let udp ?batch ?poller ~socket () =
     sleep_ns = (fun ns -> Unix.sleepf (float_of_int ns /. 1e9));
     wake = Option.map (fun p () -> Poller.wake p) poller;
   }
-
-let recv_message t ?timeout_ns () =
-  match t.recv ~timeout_ns with
-  | `Timeout -> `Timeout
-  | `Datagram { buf; len; from } -> (
-      match Packet.Codec.decode_sub buf ~pos:0 ~len with
-      | Ok message -> `Message (message, from)
-      | Error reason -> `Garbage reason)

@@ -66,13 +66,3 @@ val udp :
     owns the poller and closes it after the transport's last use. Without
     [poller], behavior is the historical select wait and [wake] is
     [None]. *)
-
-val recv_message :
-  t ->
-  ?timeout_ns:int ->
-  unit ->
-  [ `Timeout
-  | `Message of Packet.Message.t * Unix.sockaddr
-  | `Garbage of Packet.Codec.error ]
-(** [recv] plus the codec, for a one-off exchange outside a {!Loop} (the
-    ring's manifest query). *)

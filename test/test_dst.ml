@@ -392,6 +392,40 @@ let test_dst_reuse_exercises_supersede () =
   in
   Alcotest.(check bool) "supersede path exercised" true (total > 0)
 
+(* The suite axis found false successes on reused (address, id) pairs: a
+   stop-and-wait replacement took its victim's delayed final ACK as its own
+   and reported success with elapsed 0, while the engine never verified its
+   bytes. Seed 3 under reuse churn is that trial. *)
+let test_dst_reuse_stale_ack_is_not_success () =
+  let cfg =
+    {
+      (Dst.Harness.default_config ~seed:3) with
+      Dst.Harness.churn = Dst.Harness.Reuse;
+      suites = [ Protocol.Suite.Stop_and_wait ];
+    }
+  in
+  let t = Dst.Harness.run cfg in
+  Alcotest.(check (list string)) "no violations" [] t.Dst.Harness.violations;
+  Alcotest.(check bool) "the header names the suite axis" true
+    (Str_exists.contains_substring t.Dst.Harness.journal " suites=stop-and-wait\n")
+
+let seven_suites =
+  [
+    Protocol.Suite.Stop_and_wait;
+    Protocol.Suite.Sliding_window { window = max_int };
+    Protocol.Suite.Blast Protocol.Blast.Full_retransmit;
+    Protocol.Suite.Blast Protocol.Blast.Full_retransmit_nack;
+    Protocol.Suite.Blast Protocol.Blast.Go_back_n;
+    Protocol.Suite.Blast Protocol.Blast.Selective;
+    Protocol.Suite.Multi_blast { strategy = Protocol.Blast.Go_back_n; chunk_packets = 4 };
+  ]
+
+let test_dst_rejects_empty_suites () =
+  let cfg = { (Dst.Harness.default_config ~seed:1) with Dst.Harness.suites = [] } in
+  Alcotest.check_raises "empty suite axis"
+    (Invalid_argument "Dst: suites must not be empty")
+    (fun () -> ignore (Dst.Harness.run cfg : Dst.Harness.trial))
+
 (* Golden digests: the journal and flowtrace MD5s of fixed trials, pinned
    so a refactor of the engine or its hosts has to replay them byte for
    byte, not just against itself. The flowtrace digest catches a changed
@@ -425,6 +459,13 @@ let golden_trials =
         (2000, "67361e004bd52c3523651323df2a2503", "705edae4bb2ef83530cb06a0cd7b59b8");
         (2001, "8e17ce4c67e6dc99acec804d53e6982b", "a6c145f9887dd092a1e8778d28829c4e");
         (2002, "282811be0993b4ceb6188e9a52f3ac3c", "bb12da1d99a1e0121001bd8a68fdfe34");
+      ] );
+    ( "seven-suites",
+      { default with Dst.Harness.suites = seven_suites },
+      [
+        (3000, "238f3bffab1a351cc9e3eaca78717b8f", "9e20895740956ea3485e5a4ccfefe565");
+        (3001, "8c2d30370ba35c920922f847b6855b52", "565901001a933205b47db58f78893d1a");
+        (3002, "928f088a71fedfb2d6a58163dd93f257", "cb7fd106aa2d8077f3845aca23c85b6a");
       ] );
   ]
 
@@ -472,6 +513,10 @@ let () =
             test_dst_adaptive_jobs_invariant;
           Alcotest.test_case "reuse churn hits supersede" `Quick
             test_dst_reuse_exercises_supersede;
+          Alcotest.test_case "a stale ACK on a reused address is no success" `Quick
+            test_dst_reuse_stale_ack_is_not_success;
+          Alcotest.test_case "an empty suite axis is refused" `Quick
+            test_dst_rejects_empty_suites;
           Alcotest.test_case "journals match golden digests" `Quick test_dst_golden_digests;
         ] );
     ]

@@ -1,7 +1,8 @@
 (* The fault-injection layer: scenario registry, Netem injector mechanics,
    determinism, the simulator integration, and the UDP chaos soak — the
-   campaign asserting that every suite x scenario combination either delivers
-   CRC-verified data or fails cleanly within its attempt bound. *)
+   campaign asserting, through the swarm's delivery oracle, that every
+   suite x scenario combination either delivers CRC-verified data or fails
+   cleanly within its attempt bound. *)
 
 module F = Faults
 
@@ -348,55 +349,48 @@ let soak_iters () =
   | Some v -> ( match int_of_string_opt v with Some n when n > 0 -> n | _ -> 1)
   | None -> 1
 
+let soak_suites =
+  [
+    Protocol.Suite.Stop_and_wait;
+    Protocol.Suite.Sliding_window { window = max_int };
+    Protocol.Suite.Blast Protocol.Blast.Full_retransmit;
+    Protocol.Suite.Blast Protocol.Blast.Full_retransmit_nack;
+    Protocol.Suite.Blast Protocol.Blast.Go_back_n;
+    Protocol.Suite.Blast Protocol.Blast.Selective;
+    Protocol.Suite.Multi_blast { strategy = Protocol.Blast.Go_back_n; chunk_packets = 4 };
+  ]
+
 let test_chaos_soak () =
   (* The campaign: every protocol suite x every named scenario over real UDP
-     loopback. The invariant (verified delivery or clean bounded failure —
-     never a hang, never corrupt data) is checked inside Chaos.run_one;
-     anything that survives into [violations] is a bug. *)
-  let runs = Sockets.Chaos.run_campaign ~iters:(soak_iters ()) ~seed:2026 () in
-  let violations = Sockets.Chaos.violations runs in
-  List.iter
-    (fun (r : Sockets.Chaos.run) ->
-      Alcotest.failf "%s/%s (seed %d): %s"
-        (Protocol.Suite.name r.Sockets.Chaos.suite)
-        (F.Scenario.name r.Sockets.Chaos.scenario)
-        r.Sockets.Chaos.seed
-        (Option.value r.Sockets.Chaos.violation ~default:"?"))
-    violations;
-  Alcotest.(check int)
-    (Printf.sprintf "no violations in %d runs (%d completed)" (List.length runs)
-       (Sockets.Chaos.completed runs))
-    0 (List.length violations);
-  (* The clean scenario must always complete outright. *)
-  List.iter
-    (fun (r : Sockets.Chaos.run) ->
-      if F.Scenario.is_clean r.Sockets.Chaos.scenario then
-        match r.Sockets.Chaos.send with
-        | Some s ->
-            Alcotest.(check bool)
-              (Protocol.Suite.name r.Sockets.Chaos.suite ^ "/clean completes")
-              true
-              (s.Sockets.Peer.outcome = Protocol.Action.Success)
-        | None -> Alcotest.fail "clean run raised")
-    runs
-
-(* -------------------------------------------------------- fault table *)
-
-let test_fault_table_renders () =
-  let stats = F.Netem.create_stats () in
-  stats.F.Netem.dropped <- 3;
-  stats.F.Netem.corrupted <- 1;
-  let counters = Protocol.Counters.create () in
-  counters.Protocol.Counters.corrupt_detected <- 1;
-  let row =
-    Report.Fault_table.of_counters ~label:"saw/chaos" ~stats ~outcome:"success" counters
-  in
-  let table = Report.Fault_table.render [ row ] in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("table mentions " ^ needle) true
-        (Str_exists.contains_substring table needle))
-    [ "saw/chaos"; "drop"; "success" ]
+     loopback, one swarm per cell against the engine, the scenario on both
+     sides. The swarm records every sender outcome and server completion in
+     the delivery oracle DST checks (verified delivery or clean bounded
+     failure — never a hang, never corrupt data); any breach is a bug. *)
+  let flows = 2 * soak_iters () in
+  let tuning = Protocol.Tuning.fixed ~retransmit_ns:8_000_000 ~max_attempts:30 () in
+  List.iteri
+    (fun i (suite, scenario) ->
+      let seed = 2026 + i in
+      let r =
+        Server.Swarm.run ~flows ~bytes:6_000 ~packet_bytes:512 ~tuning ~suite ~scenario
+          ~server_scenario:scenario ~seed ()
+      in
+      let label =
+        Printf.sprintf "%s/%s (seed %d)" (Protocol.Suite.name suite)
+          (F.Scenario.name scenario) seed
+      in
+      Alcotest.(check (list string))
+        (label ^ ": oracle holds")
+        [] r.Server.Swarm.violations;
+      Alcotest.(check (list string))
+        (label ^ ": engine invariants hold")
+        [] r.Server.Swarm.invariants;
+      (* The clean scenario must always complete outright. *)
+      if F.Scenario.is_clean scenario then
+        Alcotest.(check int) (label ^ ": clean completes") flows r.Server.Swarm.completed)
+    (List.concat_map
+       (fun suite -> List.map (fun scenario -> (suite, scenario)) F.Scenario.all)
+       soak_suites)
 
 let () =
   Alcotest.run "faults"
@@ -434,6 +428,4 @@ let () =
           Alcotest.test_case "receiver watchdog" `Quick test_receiver_watchdog;
           Alcotest.test_case "chaos soak" `Slow test_chaos_soak;
         ] );
-      ( "report",
-        [ Alcotest.test_case "fault table" `Quick test_fault_table_renders ] );
     ]

@@ -263,25 +263,61 @@ let test_udp_chaos_events_match_counters () =
     | Some s -> s
     | None -> Alcotest.fail "chaos scenario missing"
   in
+  (* One go-back-n transfer, Peer.send against serve_one, each endpoint
+     behind its own chaos Netem (seeds 7 and 8), 6000 random bytes (seed 38)
+     in 512-byte packets on an 8 ms / 30-attempt timer. *)
   let recorder = Obs.Recorder.create () in
-  let run =
-    Sockets.Chaos.run_one
-      ~ctx:(Sockets.Io_ctx.make ~recorder ())
-      ~seed:3
-      ~suite:(Protocol.Suite.Blast Protocol.Blast.Go_back_n)
-      ~scenario ()
+  let tuning = Protocol.Tuning.fixed ~retransmit_ns:8_000_000 ~max_attempts:30 () in
+  let ctx seed =
+    Sockets.Io_ctx.make ~recorder ~tuning ~faults:(Faults.Netem.create ~seed scenario) ()
   in
-  Alcotest.(check (option string)) "invariant holds" None run.Sockets.Chaos.violation;
+  let rng = Stats.Rng.create ~seed:38 in
+  let data = String.init 6_000 (fun _ -> Char.chr (Stats.Rng.int rng 256)) in
+  let receiver_socket, receiver_address = Sockets.Udp.create_socket () in
+  let sender_socket, sender_address = Sockets.Udp.create_socket () in
+  let idle_timeout_ns = 30 * 8_000_000 in
+  let received = ref None in
+  let receiver =
+    Thread.create
+      (fun () ->
+        received :=
+          Some
+            (Sockets.Peer.serve_one ~ctx:(ctx 8) ~idle_timeout_ns
+               ~accept_timeout_ns:((2 * idle_timeout_ns) + 500_000_000)
+               ~socket:receiver_socket ()))
+      ()
+  in
   let send =
-    match run.Sockets.Chaos.send with
-    | Some s -> s
-    | None -> Alcotest.fail "sender raised"
+    Sockets.Peer.send ~ctx:(ctx 7) ~transfer_id:3 ~packet_bytes:512 ~idle_timeout_ns
+      ~socket:sender_socket ~peer:receiver_address
+      ~suite:(Protocol.Suite.Blast Protocol.Blast.Go_back_n) ~data ()
   in
+  Thread.join receiver;
+  Sockets.Udp.close receiver_socket;
+  Sockets.Udp.close sender_socket;
   let received =
-    match run.Sockets.Chaos.received with
-    | Some r -> r
-    | None -> Alcotest.fail "receiver raised"
+    match !received with Some r -> r | None -> Alcotest.fail "receiver raised"
   in
+  (* The delivery oracle the fault harnesses share, over this one pair. *)
+  let ledger = Server.Ledger.create () in
+  ignore
+    (Server.Ledger.sent ledger ~peer:sender_address ~transfer_id:3
+       ~crc:(Packet.Checksum.crc32_string data) ~max_attempts:30 ~packets:12 send
+      : string option);
+  ignore
+    (Server.Ledger.served ledger ~peer:sender_address
+       {
+         Sockets.Flow.data = received.Sockets.Peer.data;
+         transfer_id = received.Sockets.Peer.transfer_id;
+         counters = received.Sockets.Peer.receive_counters;
+         integrity = received.Sockets.Peer.integrity;
+         outcome = received.Sockets.Peer.receive_outcome;
+       }
+      : string option);
+  Alcotest.(check (list string)) "invariant holds" [] (Server.Ledger.violations ledger);
+  if send.Sockets.Peer.outcome = Protocol.Action.Success then
+    Alcotest.(check bool) "delivered bytes are the sent bytes" true
+      (String.equal received.Sockets.Peer.data data);
   let events = Obs.Recorder.events recorder in
   let faults_injected =
     send.Sockets.Peer.counters.Protocol.Counters.faults_injected

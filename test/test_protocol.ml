@@ -334,6 +334,35 @@ let test_multi_blast_counts_error_free () =
   Alcotest.(check int) "one ack per chunk" 3 cr.P.Counters.acks_sent;
   Alcotest.(check int) "data once" 10 cs.P.Counters.data_sent
 
+(* -------------------------------------------------------- foreign geometry *)
+
+(* A datagram left over from an earlier transfer on the same address and id
+   carries that transfer's geometry. Acting on it would advance or complete
+   against progress this transfer never made, or assemble foreign bytes, so
+   every machine ignores a [total] that is not its own. *)
+let test_foreign_geometry_ignored suite () =
+  let config = config ~total:5 () in
+  let transfer_id = config.P.Config.transfer_id in
+  let sender, receiver = machines suite config in
+  ignore (sender.P.Machine.start () : P.Action.t list);
+  ignore (receiver.P.Machine.start () : P.Action.t list);
+  for seq = 0 to 8 do
+    let ack = Packet.Message.ack ~transfer_id ~seq ~total:8 in
+    Alcotest.(check int)
+      (Printf.sprintf "sender ignores ACK seq=%d total=8" seq)
+      0
+      (List.length (sender.P.Machine.handle (P.Action.Message ack)))
+  done;
+  for seq = 0 to 7 do
+    let data = Packet.Message.data ~transfer_id ~seq ~total:8 ~payload:"stale" in
+    Alcotest.(check int)
+      (Printf.sprintf "receiver ignores DATA seq=%d total=8" seq)
+      0
+      (List.length (receiver.P.Machine.handle (P.Action.Message data)))
+  done;
+  Alcotest.(check bool) "sender still running" false (sender.P.Machine.is_complete ());
+  Alcotest.(check bool) "receiver still empty" false (receiver.P.Machine.is_complete ())
+
 (* ----------------------------------------------------------- adaptive blast *)
 
 let adaptive_config ?(total = 40) ?(tuning = P.Tuning.adaptive ()) () =
@@ -642,6 +671,13 @@ let () =
           Alcotest.test_case "multi-blast chunk isolation" `Quick
             test_multi_blast_chunk_isolation;
         ] );
+      ( "geometry",
+        List.map
+          (fun suite ->
+            Alcotest.test_case
+              (P.Suite.name suite ^ " ignores a foreign total")
+              `Quick (test_foreign_geometry_ignored suite))
+          all_suites );
       ( "random-loss",
         qcheck
           (List.map prop_completes_under_random_loss

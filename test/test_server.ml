@@ -305,7 +305,7 @@ let test_initiate_silence () =
   Alcotest.(check (option int)) "settled: no deadline" None (Sockets.Flow.next_deadline flow)
 
 let test_initiate_garbage_and_foreign () =
-  let tuning = Protocol.Tuning.fixed ~retransmit_ns:1_000_000 ~max_attempts:3 () in
+  let tuning = Protocol.Tuning.fixed ~retransmit_ns:1_000_000 ~max_attempts:4 () in
   let flow, _ = initiate ~tuning ~now:0 () in
   ignore (the_req (Sockets.Flow.on_garbage flow ~now:400 Packet.Codec.Too_short));
   Alcotest.(check (option int)) "garbage resends at once" (Some 1_000_400)
@@ -315,7 +315,15 @@ let test_initiate_garbage_and_foreign () =
   ignore (the_req (Sockets.Flow.on_message flow ~now:700 (handshake_ack ~transfer_id:10 ())));
   Alcotest.(check (option int)) "a foreign id resends at once" (Some 1_000_700)
     (Sockets.Flow.next_deadline flow);
-  Alcotest.(check int) "the third attempt was the last" 0
+  (* Our id, but another transfer's geometry: the ACK of an earlier
+     transfer on this address and id. *)
+  ignore
+    (the_req
+       (Sockets.Flow.on_message flow ~now:800
+          (Packet.Message.ack ~transfer_id:9 ~seq:0 ~total:5)));
+  Alcotest.(check (option int)) "a foreign geometry resends at once" (Some 1_000_800)
+    (Sockets.Flow.next_deadline flow);
+  Alcotest.(check int) "the fourth attempt was the last" 0
     (List.length (Sockets.Flow.on_garbage flow ~now:900 Packet.Codec.Too_short));
   outcome_is flow Protocol.Action.Peer_unreachable
 
@@ -427,6 +435,69 @@ let test_admission_sender_outcome () =
         (s.Server.Swarm.outcome = Protocol.Action.Rejected))
     report.Server.Swarm.senders
 
+(* ---------------------------------------------------------- delivery oracle *)
+
+let send_result ?(rounds = 1) outcome =
+  let counters = Protocol.Counters.create () in
+  counters.Protocol.Counters.rounds <- rounds;
+  { Sockets.Peer.outcome; elapsed_ns = 0; counters; adaptive = false }
+
+let loopback port = Unix.ADDR_INET (Unix.inet_addr_loopback, port)
+
+let served ?(integrity = Sockets.Flow.Verified) ledger ~port ~id data =
+  Server.Ledger.served ledger ~peer:(loopback port)
+    {
+      Sockets.Flow.data;
+      transfer_id = id;
+      counters = Protocol.Counters.create ();
+      integrity;
+      outcome = Protocol.Action.Success;
+    }
+
+(* Two packets at five attempts each: a bound of ten rounds. *)
+let sent ?rounds ?(outcome = Protocol.Action.Success) ledger ~port ~id data =
+  Server.Ledger.sent ledger ~peer:(loopback port) ~transfer_id:id
+    ~crc:(Packet.Checksum.crc32_string data) ~max_attempts:5 ~packets:2
+    (send_result ?rounds outcome)
+
+let one_breach label ~needle ledger =
+  match Server.Ledger.violations ledger with
+  | [ v ] ->
+      Alcotest.(check bool) (label ^ ": " ^ v) true (Str_exists.contains_substring v needle)
+  | vs -> Alcotest.failf "%s: expected one breach, got [%s]" label (String.concat "; " vs)
+
+let test_ledger_reports_each_breach () =
+  let ledger = Server.Ledger.create () in
+  Alcotest.(check (option string)) "sender success" None (sent ledger ~port:1 ~id:1 "abc");
+  Alcotest.(check (option string)) "its verified delivery" None
+    (served ledger ~port:1 ~id:1 "abc");
+  Alcotest.(check (list string))
+    "a matched pair holds" [] (Server.Ledger.violations ledger);
+  (* Deliveries of other bytes, or to another port, match nothing; and a
+     key that succeeded twice must be served twice. *)
+  let ledger = Server.Ledger.create () in
+  ignore (sent ledger ~port:1 ~id:1 "abc" : string option);
+  ignore (sent ledger ~port:1 ~id:1 "abc" : string option);
+  ignore (served ledger ~port:1 ~id:1 "abc" : string option);
+  ignore (served ledger ~port:1 ~id:1 "abd" : string option);
+  ignore (served ledger ~port:2 ~id:1 "abc" : string option);
+  one_breach "unmatched success" ~needle:"sender success without verified server delivery"
+    ledger;
+  Alcotest.(check (list string)) "unmatched is the only breach"
+    (Server.Ledger.violations ledger) (Server.Ledger.unmatched ledger);
+  let ledger = Server.Ledger.create () in
+  Alcotest.(check bool) "a Mismatch success is reported at once" true
+    (served ~integrity:Sockets.Flow.Mismatch ledger ~port:1 ~id:4 "x" <> None);
+  one_breach "mismatch" ~needle:"without CRC verification" ledger;
+  (* The attempt bound holds for clean failures too. *)
+  let ledger = Server.Ledger.create () in
+  Alcotest.(check (option string)) "at the bound" None
+    (sent ~rounds:10 ~outcome:Protocol.Action.Too_many_attempts ledger ~port:1 ~id:5 "y");
+  Alcotest.(check bool) "over the bound" true
+    (sent ~rounds:11 ~outcome:Protocol.Action.Too_many_attempts ledger ~port:1 ~id:6 "y"
+    <> None);
+  one_breach "over the bound" ~needle:"11 rounds > 10" ledger
+
 (* ------------------------------------------------------------- swarm soak *)
 
 (* The tentpole acceptance test: 32 concurrent senders over loopback, seeded
@@ -454,6 +525,7 @@ let test_swarm_32_under_faults () =
     (Printf.sprintf "at least half completed (%d/32)" report.Server.Swarm.completed)
     true
     (report.Server.Swarm.completed >= 16);
+  Alcotest.(check (list string)) "delivery oracle holds" [] report.Server.Swarm.violations;
   (* ...and that no completed flow ever delivered corrupt data. *)
   List.iter
     (fun (e : Server.Engine.completion_event) ->
@@ -514,6 +586,10 @@ let () =
         [
           Alcotest.test_case "REJ past the cap" `Quick test_admission_rej_reply;
           Alcotest.test_case "sender surfaces Rejected" `Quick test_admission_sender_outcome;
+        ] );
+      ( "ledger",
+        [
+          Alcotest.test_case "reports each breach" `Quick test_ledger_reports_each_breach;
         ] );
       ( "swarm",
         [
