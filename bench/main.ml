@@ -367,6 +367,15 @@ let dst_rows () =
       ("chaos-mixed", Dst.Harness.Mixed, Some Faults.Scenario.chaos);
     ]
 
+(* Gate verdicts. A gate records its FAIL line here instead of exiting, so
+   one failing gate cannot stop the cells after it from running or
+   BENCH_protocols.json from being written; [write_bench_json] prints every
+   line and exits 1 once the file is out. *)
+let gate_failures = ref []
+
+let gate_fail fmt =
+  Printf.ksprintf (fun line -> gate_failures := line :: !gate_failures) fmt
+
 (* Aggregate service capacity of the concurrent server at increasing fan-in:
    N simultaneous senders against one port, small payloads so the smoke run
    stays fast — at shards=1 (the single-engine loop, the ceiling this bench
@@ -429,23 +438,19 @@ let serve_concurrency_rows () =
   if domains >= 4 then begin
     (match (g 1 32, g 4 32) with
     | Some single, Some sharded when single > 0.0 ->
-        if sharded < 2.0 *. single then begin
-          Printf.eprintf
+        if sharded < 2.0 *. single then
+          gate_fail
             "bench: FAIL serve_concurrency scaling — shards=4 at 32 flows is %.2fx \
-             shards=1 (%.2f vs %.2f Mbit/s; need >= 2x)\n"
-            (sharded /. single) sharded single;
-          exit 1
-        end
+             shards=1 (%.2f vs %.2f Mbit/s; need >= 2x)"
+            (sharded /. single) sharded single
     | _ -> ());
     match (g 4 1, g 4 64, g 4 256) with
     | Some g1, Some g64, Some g256 ->
-        if g64 < g1 && g256 < g64 then begin
-          Printf.eprintf
+        if g64 < g1 && g256 < g64 then
+          gate_fail
             "bench: FAIL serve_concurrency collapse — sharded goodput falls \
-             monotonically 1 -> 64 -> 256 flows (%.2f -> %.2f -> %.2f Mbit/s)\n"
-            g1 g64 g256;
-          exit 1
-        end
+             monotonically 1 -> 64 -> 256 flows (%.2f -> %.2f -> %.2f Mbit/s)"
+            g1 g64 g256
     | _ -> ()
   end
   else
@@ -512,13 +517,11 @@ let ring_stripe_rows () =
     | Some w1, Some w4 when w1 > 0 ->
         (* Width 4 must not lose to the single path on a host that can
            actually parallelize it; 25% slack absorbs wall-clock noise. *)
-        if float_of_int w4 > 1.25 *. float_of_int w1 then begin
-          Printf.eprintf
+        if float_of_int w4 > 1.25 *. float_of_int w1 then
+          gate_fail
             "bench: FAIL ring_stripe width — stripes=4 put took %.1f ms vs %.1f ms at \
-             stripes=1 (need <= 1.25x)\n"
-            (float_of_int w4 /. 1e6) (float_of_int w1 /. 1e6);
-          exit 1
-        end
+             stripes=1 (need <= 1.25x)"
+            (float_of_int w4 /. 1e6) (float_of_int w1 /. 1e6)
     | _ -> ()
   end
   else
@@ -550,7 +553,6 @@ let adaptive_scenarios = [ Faults.Scenario.clean; Faults.Scenario.lossy2 ]
 let adaptive_sim_packets = 256
 
 let adaptive_blast_rows () =
-  let failures = ref [] in
   let sim_rows =
     List.concat_map
       (fun scenario ->
@@ -608,11 +610,11 @@ let adaptive_blast_rows () =
           (String.concat ", "
              (List.map (fun (c, g) -> Printf.sprintf "%d: %.1f" c g) fixed_rows));
         if adaptive_goodput < adaptive_gate *. best_fixed then
-          failures :=
-            Printf.sprintf "sim/%s: adaptive %.1f < %.1fx best fixed %.1f Mbit/s"
-              (Faults.Scenario.name scenario)
-              adaptive_goodput adaptive_gate best_fixed
-            :: !failures;
+          gate_fail
+            "bench: FAIL adaptive_blast gate — sim/%s: adaptive %.1f < %.1fx best fixed \
+             %.1f Mbit/s"
+            (Faults.Scenario.name scenario)
+            adaptive_goodput adaptive_gate best_fixed;
         List.map (fun (c, g) -> row ~train:(string_of_int c) ~goodput:g) fixed_rows
         @ [ row ~train:"adaptive" ~goodput:adaptive_goodput ])
       adaptive_scenarios
@@ -676,19 +678,15 @@ let adaptive_blast_rows () =
           (String.concat ", "
              (List.map (fun (c, g) -> Printf.sprintf "%d: %.1f" c g) fixed_rows));
         if adaptive_goodput < adaptive_gate *. best_fixed then
-          failures :=
-            Printf.sprintf "udp/%s: adaptive %.1f < %.1fx best fixed %.1f Mbit/s"
-              (Faults.Scenario.name scenario)
-              adaptive_goodput adaptive_gate best_fixed
-            :: !failures;
+          gate_fail
+            "bench: FAIL adaptive_blast gate — udp/%s: adaptive %.1f < %.1fx best fixed \
+             %.1f Mbit/s"
+            (Faults.Scenario.name scenario)
+            adaptive_goodput adaptive_gate best_fixed;
         List.map (fun (c, g) -> row ~train:(string_of_int c) ~goodput:g) fixed_rows
         @ [ row ~train:"adaptive" ~goodput:adaptive_goodput ])
       adaptive_scenarios
   in
-  List.iter
-    (fun msg -> Printf.eprintf "bench: FAIL adaptive_blast gate — %s\n" msg)
-    !failures;
-  if !failures <> [] then exit 1;
   Obs.Json.Obj
     [
       ("gate", Obs.Json.Float adaptive_gate);
@@ -746,13 +744,11 @@ let write_bench_json ~jobs () =
     fresh_alloc reused_alloc rx_alloc_iters;
   (* Regression gate: the reusable-buffer receive path is the default in
      every hot loop, and it must stay allocation-light. *)
-  if reused_alloc > 4096.0 then begin
-    Printf.eprintf
+  if reused_alloc > 4096.0 then
+    gate_fail
       "bench: FAIL rx_alloc regression — reused-buffer recv allocates %.0f B/datagram \
-       (budget 4096)\n"
+       (budget 4096)"
       reused_alloc;
-    exit 1
-  end;
   let serve_rows, engine_health = serve_concurrency_rows () in
   let json =
     Obs.Json.Obj
@@ -784,7 +780,9 @@ let write_bench_json ~jobs () =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (Obs.Json.to_string json));
-  Printf.printf "wrote %s\n%!" bench_json_path
+  Printf.printf "wrote %s\n%!" bench_json_path;
+  List.iter (Printf.eprintf "%s\n%!") (List.rev !gate_failures);
+  if !gate_failures <> [] then exit 1
 
 let run_bechamel () =
   print_endline "\n=== Bechamel micro-benchmarks (ns/run, OLS estimate) ===";

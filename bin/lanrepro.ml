@@ -134,7 +134,9 @@ let batch_flag =
             info [ "batch" ]
               ~doc:
                 "Submit packet trains through sendmmsg/recvmmsg — one syscall per train \
-                 instead of per datagram (the default unless LANREPRO_BATCH=0)." );
+                 instead of per datagram, each run of equal-size datagrams as one UDP GSO \
+                 message, received coalesced under UDP GRO where the kernel supports it \
+                 (the default unless LANREPRO_BATCH=0)." );
           (Some false, info [ "no-batch" ] ~doc:"One syscall per datagram.");
         ])
 

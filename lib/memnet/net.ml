@@ -228,7 +228,7 @@ let send ep ~peer ~on_outcome data =
   on_outcome Sockets.Udp.Sent
 
 let view (data, from) =
-  { Sockets.Transport.buf = data; len = Bytes.length data; from }
+  { Sockets.Transport.buf = data; pos = 0; len = Bytes.length data; from }
 
 let poll ep () =
   match Queue.take_opt ep.queue with

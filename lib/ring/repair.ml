@@ -36,8 +36,8 @@ let query_via ?(attempts = 5) ?(timeout_ns = 200_000_000) ~clock ~transport ~pee
       if !left >= 0 then Sockets.Loop.send loop ~peer ~on_failed:ignore encoded
     end
   in
-  let receive ~now:_ { Sockets.Transport.buf; len; _ } =
-    match Packet.Codec.decode_sub buf ~pos:0 ~len with
+  let receive ~now:_ { Sockets.Transport.buf; pos; len; _ } =
+    match Packet.Codec.decode_sub buf ~pos ~len with
     | Ok m
       when m.Packet.Message.kind = Packet.Kind.Mrep
            && m.Packet.Message.transfer_id = object_id ->

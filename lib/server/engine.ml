@@ -466,8 +466,8 @@ let observe_rounds t fs ~now =
         trace t Obs.Flowtrace.Round ~flow:fs.label ~now
       end
 
-let handle_datagram t ~now { Sockets.Transport.buf; len; from } =
-  match Packet.Codec.decode_sub buf ~pos:0 ~len with
+let handle_datagram t ~now { Sockets.Transport.buf; pos; len; from } =
+  match Packet.Codec.decode_sub buf ~pos ~len with
   | Error reason ->
       (* No trustworthy header, so no flow to attribute it to. *)
       t.totals.garbage <- t.totals.garbage + 1;

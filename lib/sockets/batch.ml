@@ -4,11 +4,16 @@
 
 external mmsg_supported : unit -> bool = "lanrepro_mmsg_supported"
 
-external raw_sendmmsg : Unix.file_descr -> int -> int -> Bytes.t array -> int array -> int
-  = "lanrepro_sendmmsg"
+external raw_sendmmsg :
+  Unix.file_descr -> int -> int -> bool -> Bytes.t array -> int array -> int
+  = "lanrepro_sendmmsg_byte" "lanrepro_sendmmsg"
 
 external raw_recvmmsg : Unix.file_descr -> int -> Bytes.t array -> int array -> int
   = "lanrepro_recvmmsg"
+
+external udp_segment_supported : Unix.file_descr -> bool
+  = "lanrepro_udp_segment_supported"
+external set_gro : Unix.file_descr -> bool -> bool = "lanrepro_set_udp_gro"
 
 (* Must match LANREPRO_MMSG_MAX in mmsg_stubs.c. *)
 let stub_max = 256
@@ -75,6 +80,9 @@ type t = {
   callbacks : (Udp.send_outcome -> unit) option array;
   forced_fallback : bool;
   addr_cache : (Unix.sockaddr, (int * int) option) Hashtbl.t;
+  mutable gso : bool;
+      (** group equal-size runs for one peer into one UDP_SEGMENT message;
+          cleared for good by the kernel's first refusal *)
   mutable len : int;
   mutable acc : report;  (** cumulative since create *)
 }
@@ -82,6 +90,9 @@ type t = {
 let create ?(capacity = 128) ?force_fallback ~socket () =
   if capacity <= 0 then invalid_arg "Batch.create: capacity must be positive";
   let capacity = min capacity stub_max in
+  let forced_fallback =
+    match force_fallback with Some f -> f | None -> env_force_fallback ()
+  in
   {
     socket;
     tx_capacity = capacity;
@@ -89,9 +100,9 @@ let create ?(capacity = 128) ?force_fallback ~socket () =
     meta = Array.make (3 * capacity) 0;
     peers = Array.make capacity (Unix.ADDR_UNIX "");
     callbacks = Array.make capacity None;
-    forced_fallback =
-      (match force_fallback with Some f -> f | None -> env_force_fallback ());
+    forced_fallback;
     addr_cache = Hashtbl.create 8;
+    gso = (not forced_fallback) && kernel_support () && udp_segment_supported socket;
     len = 0;
     acc = zero;
   }
@@ -131,9 +142,15 @@ let flush t =
       let off = ref 0 in
       while !off < n do
         let want = min (n - !off) stub_max in
-        let r = raw_sendmmsg t.socket !off want t.bufs t.meta in
+        let r = raw_sendmmsg t.socket !off want t.gso t.bufs t.meta in
         incr syscalls;
-        if r = -2 then begin
+        if r = -3 then
+          (* The kernel refused a GSO message at the head (an old kernel, a
+             route without checksum offload, a segment above the route MTU)
+             and sent none of it: stop grouping for good and resubmit the
+             window ungrouped. *)
+          t.gso <- false
+        else if r = -2 then begin
           (* Runtime ENOSYS: this submission — and every future one,
              process-wide — takes the fallback. *)
           runtime_enosys := true;
@@ -211,13 +228,20 @@ type rx = {
   rx_socket : Unix.file_descr;
   rx_cap : int;
   mutable rx_bufs : Bytes.t array;  (** the live slots; doubles up to [rx_cap] *)
-  rx_meta : int array;
+  rx_meta : int array;  (** 4 slots per ring slot: length, address, port, segment *)
   rx_froms : Unix.sockaddr array;
+  mutable rx_index : int array;
+      (** 3 slots per datagram of the last drain: ring slot, offset, length *)
   rx_forced_fallback : bool;
   rx_addr_cache : (int, Unix.sockaddr) Hashtbl.t;
   mutable rx_sys : int;
   mutable rx_count : int;
 }
+
+(* Coalescing is only safe where each slot comes with its segment size:
+   on the recvmmsg path, never through recvfrom. *)
+let arm_rx rx =
+  ignore (set_gro rx.rx_socket ((not rx.rx_forced_fallback) && kernel_support ()) : bool)
 
 (* The ring starts at one max-size slot and is sized by demand: a sender
    that only ever reads the odd ACK keeps 64 KiB, not [capacity] x 64 KiB.
@@ -226,18 +250,23 @@ type rx = {
 let create_rx ?(capacity = 32) ?force_fallback ~socket () =
   if capacity <= 0 then invalid_arg "Batch.create_rx: capacity must be positive";
   let capacity = min capacity stub_max in
-  {
-    rx_socket = socket;
-    rx_cap = capacity;
-    rx_bufs = [| Udp.rx_buffer () |];
-    rx_meta = Array.make (3 * capacity) 0;
-    rx_froms = Array.make capacity (Unix.ADDR_UNIX "");
-    rx_forced_fallback =
-      (match force_fallback with Some f -> f | None -> env_force_fallback ());
-    rx_addr_cache = Hashtbl.create 64;
-    rx_sys = 0;
-    rx_count = 0;
-  }
+  let rx =
+    {
+      rx_socket = socket;
+      rx_cap = capacity;
+      rx_bufs = [| Udp.rx_buffer () |];
+      rx_meta = Array.make (4 * capacity) 0;
+      rx_froms = Array.make capacity (Unix.ADDR_UNIX "");
+      rx_index = Array.make (3 * capacity) 0;
+      rx_forced_fallback =
+        (match force_fallback with Some f -> f | None -> env_force_fallback ());
+      rx_addr_cache = Hashtbl.create 64;
+      rx_sys = 0;
+      rx_count = 0;
+    }
+  in
+  arm_rx rx;
+  rx
 
 let rx_capacity rx = rx.rx_cap
 let rx_slots rx = Array.length rx.rx_bufs
@@ -274,28 +303,26 @@ let recv_fallback rx ~want =
            raise Exit
        | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> ()
        | len, from ->
-           rx.rx_meta.(3 * !n) <- len;
+           rx.rx_meta.(4 * !n) <- len;
+           rx.rx_meta.((4 * !n) + 3) <- 0;
            rx.rx_froms.(!n) <- from;
            incr n
      done
    with Exit -> ());
   !n
 
+(* Fill up to [want] slots; returns how many. A genuine error raises from
+   the stub, exactly as the unbatched loop's recvfrom would. *)
 let rec drain rx ~want =
-  if rx.rx_forced_fallback || not (kernel_support ()) then begin
-    let n = recv_fallback rx ~want in
-    rx.rx_count <- rx.rx_count + n;
-    n
-  end
+  if rx.rx_forced_fallback || not (kernel_support ()) then recv_fallback rx ~want
   else begin
     let r = raw_recvmmsg rx.rx_socket want rx.rx_bufs rx.rx_meta in
     rx.rx_sys <- rx.rx_sys + 1;
     if r >= 0 then begin
       for i = 0 to r - 1 do
         rx.rx_froms.(i) <-
-          sockaddr_of rx rx.rx_meta.((3 * i) + 1) rx.rx_meta.((3 * i) + 2)
+          sockaddr_of rx rx.rx_meta.((4 * i) + 1) rx.rx_meta.((4 * i) + 2)
       done;
-      rx.rx_count <- rx.rx_count + r;
       r
     end
     else if r = -1 then 0
@@ -303,21 +330,12 @@ let rec drain rx ~want =
       (* Consumed a pending ICMP port-unreachable (a sender that already
          closed); no datagram was taken, so drain again. *)
       drain rx ~want
-    else if r = -2 then begin
-      runtime_enosys := true;
-      drain rx ~want
-    end
     else begin
-      (* Genuine error: surface it exactly as the unbatched loop would, by
-         letting Unix.recvfrom raise (or, if the condition cleared, deliver). *)
-      rx.rx_sys <- rx.rx_sys + 1;
-      let len, from =
-        Unix.recvfrom rx.rx_socket rx.rx_bufs.(0) 0 (Bytes.length rx.rx_bufs.(0)) []
-      in
-      rx.rx_meta.(0) <- len;
-      rx.rx_froms.(0) <- from;
-      rx.rx_count <- rx.rx_count + 1;
-      1
+      (* Runtime ENOSYS. The recvfrom fallback cannot tell a coalesced train
+         from one datagram, so coalescing goes off with the fast path. *)
+      runtime_enosys := true;
+      ignore (set_gro rx.rx_socket false : bool);
+      drain rx ~want
     end
   end
 
@@ -334,13 +352,44 @@ let grow_if_full rx n =
           if i < slots then old.(i) else Udp.rx_buffer ())
   end
 
+(* Cut each filled slot back into the sender's datagrams. A slot the kernel
+   coalesced carries its segment size, and every datagram in it but the
+   last is exactly that long (the sender's grouping rule). Returns the
+   datagram count. *)
+let split rx slots =
+  let count = ref 0 in
+  for s = 0 to slots - 1 do
+    let len = rx.rx_meta.(4 * s) and seg = rx.rx_meta.((4 * s) + 3) in
+    let pieces = if seg > 0 && len > seg then (len + seg - 1) / seg else 1 in
+    let seg = if pieces = 1 then len else seg in
+    let need = 3 * (!count + pieces) in
+    if need > Array.length rx.rx_index then begin
+      let index = Array.make (max need (2 * Array.length rx.rx_index)) 0 in
+      Array.blit rx.rx_index 0 index 0 (3 * !count);
+      rx.rx_index <- index
+    end;
+    for p = 0 to pieces - 1 do
+      let k = 3 * (!count + p) in
+      rx.rx_index.(k) <- s;
+      rx.rx_index.(k + 1) <- p * seg;
+      rx.rx_index.(k + 2) <- min seg (len - (p * seg))
+    done;
+    count := !count + pieces
+  done;
+  !count
+
 let recv rx ~limit =
   let want = min limit (Array.length rx.rx_bufs) in
   if want <= 0 then 0
   else begin
-    let n = drain rx ~want in
-    grow_if_full rx n;
+    let slots = drain rx ~want in
+    grow_if_full rx slots;
+    let n = split rx slots in
+    rx.rx_count <- rx.rx_count + n;
     n
   end
 
-let get rx i = (rx.rx_bufs.(i), rx.rx_meta.(3 * i), rx.rx_froms.(i))
+let get rx i =
+  let k = 3 * i in
+  let slot = rx.rx_index.(k) in
+  (rx.rx_bufs.(slot), rx.rx_index.(k + 1), rx.rx_index.(k + 2), rx.rx_froms.(slot))

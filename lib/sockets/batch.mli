@@ -9,16 +9,37 @@
     train into a reusable vector and submits it in one kernel crossing; an
     {!rx} drains a socket the same way.
 
+    {b One traversal per train.} Below the syscall the kernel still walks
+    its UDP stack once per datagram. So a {!t} hands each run of
+    equal-size datagrams for one peer to the kernel as a single UDP message
+    carrying a [UDP_SEGMENT] control message (generic segmentation offload,
+    GSO), and an {!rx} sets [UDP_GRO] on its socket so such a train arrives
+    as one ring slot plus its segment size, which {!recv} cuts back into the
+    sender's datagrams. The grouping rule: a group is a run of queued
+    entries that share the first entry's peer and length; one shorter
+    datagram may close it (the kernel cuts at segment boundaries, so a short
+    one anywhere else would be re-cut); at most 64 segments and 65507 bytes
+    (the IPv4 UDP payload limit); a one-datagram group is a plain datagram.
+    Nothing is copied: every datagram keeps its own iovec. No knob selects
+    this: a kernel that does not know [UDP_SEGMENT] is never asked, and one
+    that refuses a GSO message ([EINVAL], [EIO], [ENOPROTOOPT],
+    [EOPNOTSUPP] — an old kernel, a route without checksum offload, a
+    segment above the route MTU) makes that {!t} stop grouping and resubmit
+    the window ungrouped, with unchanged per-datagram outcomes.
+
     {b Portability.} The syscalls are Linux-only. On other platforms, on a
     kernel that returns [ENOSYS], or when forced (the [LANREPRO_BATCH] knob
     or [force_fallback]), every operation silently degrades to the exact
     one-datagram path ({!Udp.send_bytes} / [Unix.recvfrom]) — same
-    semantics, one syscall per datagram.
+    semantics, one syscall per datagram, and [UDP_GRO] off, since
+    [recvfrom] cannot tell a coalesced train from one datagram.
 
     {b Per-datagram outcomes.} A short [sendmmsg] return (kernel accepted
     only a prefix of the train) never raises: the entry at the boundary is
     resolved through {!Udp.send_bytes}, which classifies it as [Sent] or the
     loss-equivalent [Send_failed], and the rest of the train is resubmitted.
+    The kernel accepts or refuses a GSO group whole, so the boundary is
+    always the first datagram of a group.
     Each entry's [on_outcome] callback fires exactly once, so counters and
     probes account batched sends exactly as they account unbatched ones.
 
@@ -85,8 +106,9 @@ val push_message :
 
 val flush : t -> report
 (** Submit everything queued — one [sendmmsg] per [capacity]-sized window on
-    the fast path — and empty the train. Returns the accounting for this
-    flush only; {!totals} accumulates across flushes. Never raises for
+    the fast path, grouped for GSO — and empty the train. A GSO refusal
+    costs one more [sendmmsg] for the window it hit. Returns the accounting
+    for this flush only; {!totals} accumulates across flushes. Never raises for
     transient per-datagram conditions (they are [failed], i.e. loss);
     genuine programming errors ([EBADF], ...) still raise, exactly as
     {!Udp.send_bytes} would. *)
@@ -106,7 +128,18 @@ val create_rx : ?capacity:int -> ?force_fallback:bool -> socket:Unix.file_descr 
     has. A socket that only ever holds the odd ACK therefore costs one
     64 KiB buffer, while a server under a blast reaches full width within a
     few drains. The socket should be non-blocking (the fast path passes
-    [MSG_DONTWAIT] regardless; the fallback relies on the flag). *)
+    [MSG_DONTWAIT] regardless; the fallback relies on the flag).
+
+    Turns [UDP_GRO] on for [socket] while the [recvmmsg] path is live, and
+    off under the fallback (forced or [ENOSYS]). A socket that was
+    coalescing must be drained before a per-datagram reader takes it over:
+    trains already queued stay coalesced. *)
+
+val arm_rx : rx -> unit
+(** Set [UDP_GRO] on the ring's socket as {!create_rx} does: on while the
+    [recvmmsg] path is live, off otherwise. A ring that takes a socket over
+    again ({!Transport.udp} reuses one) re-arms it, since the socket may
+    have been turned off or be a new one on a recycled descriptor. *)
 
 val rx_capacity : rx -> int
 (** The most slots the ring may grow to. *)
@@ -116,20 +149,28 @@ val rx_slots : rx -> int
     {!rx_capacity}. *)
 
 val recv : rx -> limit:int -> int
-(** Drain up to [min limit (rx_slots rx)] datagrams in one [recvmmsg] (or
-    up to that many [Unix.recvfrom] calls on the fallback). Returns how many
-    arrived — [0] when nothing is ready — and never blocks. When the count
-    equals the slots the ring had, the ring doubles (up to its capacity)
-    for the next drain; slots already filled keep their buffers. Pending
-    ICMP errors ([ECONNREFUSED] from a peer that closed) are consumed and
-    the drain retried, mirroring the unbatched loop. *)
+(** Fill up to [min limit (rx_slots rx)] slots in one [recvmmsg] (or up to
+    that many [Unix.recvfrom] calls on the fallback), and cut every
+    coalesced slot back into its datagrams. Returns how many {e datagrams}
+    arrived — [0] when nothing is ready; more than [limit] when a slot held
+    a GRO train — and never blocks. When the slots filled equal the slots
+    the ring had, the ring doubles (up to its capacity) for the next drain;
+    slots already filled keep their buffers. Pending ICMP errors
+    ([ECONNREFUSED] from a peer that closed) are consumed and the drain
+    retried, and genuine errors raise, mirroring the unbatched loop. *)
 
-val get : rx -> int -> bytes * int * Unix.sockaddr
-(** [get rx i] is slot [i] of the last {!recv}: the buffer (valid until the
-    next {!recv}), the datagram length, and the sender. *)
+val get : rx -> int -> bytes * int * int * Unix.sockaddr
+(** [get rx i] is datagram [i] of the last {!recv}: the buffer (valid until
+    the next {!recv}), the datagram's offset and length in it, and the
+    sender. Datagrams come in arrival order. *)
 
 val rx_syscalls : rx -> int
 (** Cumulative kernel crossings since {!create_rx}. *)
 
 val rx_received : rx -> int
-(** Cumulative datagrams drained since {!create_rx}. *)
+(** Cumulative datagrams drained since {!create_rx}, coalesced ones
+    counted one by one. *)
+
+val set_gro : Unix.file_descr -> bool -> bool
+(** [set_gro socket on] sets [UDP_GRO] on [socket]; [true] when the kernel
+    took it. A per-datagram reader turns it off (see {!Transport.udp}). *)

@@ -66,8 +66,8 @@ let drive (ctx : Io_ctx.t) ~(transport : Transport.t) ~probe ~counters ?accept_d
     execute (f, peer) actions
   in
   Option.iter (fun (peer, started) -> admit peer started) start;
-  let receive ~now { Transport.buf; len; from } =
-    match (Packet.Codec.decode_sub buf ~pos:0 ~len, !slot) with
+  let receive ~now { Transport.buf; pos; len; from } =
+    match (Packet.Codec.decode_sub buf ~pos ~len, !slot) with
     | Error reason, Some ((f, _) as s) -> execute s (Flow.on_garbage f ~now reason)
     | Error reason, None -> Flow.count_garbage ~probe counters reason
     | Ok m, Some ((f, _) as s) -> execute s (Flow.on_message f ~now m)

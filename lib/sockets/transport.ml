@@ -1,4 +1,4 @@
-type view = { buf : Bytes.t; len : int; from : Unix.sockaddr }
+type view = { buf : Bytes.t; pos : int; len : int; from : Unix.sockaddr }
 
 type t = {
   send : peer:Unix.sockaddr -> on_outcome:(Udp.send_outcome -> unit) -> bytes -> unit;
@@ -13,6 +13,27 @@ type t = {
    only reaches it under a backlog that deep (see {!Batch.create_rx}). *)
 let rx_ring_capacity = 64
 
+(* The batched receive ring last built in this domain, with its socket and
+   the fallback setting it was built under. [Peer.send] builds a transport
+   per transfer on the caller's socket; taking the previous ring over
+   spares every transfer a fresh 64 KiB slot, whose garbage-collector work
+   otherwise stalls the sender on a busy core. A transport retires any
+   earlier one on its socket (one reading loop per socket), so the ring is
+   free. *)
+let last_ring : (Unix.file_descr * bool * Batch.rx) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let rx_ring socket =
+  let forced = Batch.env_force_fallback () in
+  match Domain.DLS.get last_ring with
+  | Some (s, f, ring) when s = socket && f = forced ->
+      Batch.arm_rx ring;
+      ring
+  | _ ->
+      let ring = Batch.create_rx ~capacity:rx_ring_capacity ~socket () in
+      Domain.DLS.set last_ring (Some (socket, forced, ring));
+      ring
+
 let udp ?batch ?poller ~socket () =
   let batch = match batch with Some b -> b | None -> Batch.env_enabled () in
   (* A blast sender can land dozens of datagrams between two wake-ups;
@@ -23,7 +44,12 @@ let udp ?batch ?poller ~socket () =
   Unix.set_nonblock socket;
   let tx = if batch then Some (Batch.create ~socket ()) else None in
   let rx =
-    if batch then Some (Batch.create_rx ~capacity:rx_ring_capacity ~socket ()) else None
+    if batch then Some (rx_ring socket)
+    else begin
+      (* A coalesced train handed to recvfrom would read as one datagram. *)
+      ignore (Batch.set_gro socket false : bool);
+      None
+    end
   in
   (* Only the unbatched [poll_socket] reads into this buffer; a batching
      transport receives into its ring. *)
@@ -48,7 +74,7 @@ let udp ?batch ?poller ~socket () =
         (* Linux surfaces a pending ICMP port-unreachable (a peer that
            already closed) on the next receive; it consumes no datagram. *)
         poll_socket ()
-    | len, from -> `Datagram { buf = buffer; len; from }
+    | len, from -> `Datagram { buf = buffer; pos = 0; len; from }
   in
   let poll () =
     match rx with
@@ -60,9 +86,9 @@ let udp ?batch ?poller ~socket () =
         end;
         if !rx_next >= !rx_count then `Empty
         else begin
-          let buf, len, from = Batch.get ring !rx_next in
+          let buf, pos, len, from = Batch.get ring !rx_next in
           incr rx_next;
-          `Datagram { buf; len; from }
+          `Datagram { buf; pos; len; from }
         end
   in
   (* The blocking wait. With a poller the socket is registered for

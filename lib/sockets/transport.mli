@@ -14,6 +14,9 @@
 
 type view = {
   buf : Bytes.t;  (** valid only until the next [recv]/[poll] call *)
+  pos : int;
+      (** where the datagram starts in [buf]: past [0] when it arrived
+          inside a coalesced train (see {!Batch}) *)
   len : int;
   from : Unix.sockaddr;
 }
@@ -51,14 +54,23 @@ val udp :
 (** The real-socket interpreter. Sets the socket non-blocking and bumps
     [SO_RCVBUF] best-effort (the multiplexed server's headroom against blast
     bursts). With [batch] (default {!Batch.env_enabled}) sends queue into a
-    {!Batch} train flushed by [flush], and [poll] drains through a
-    demand-sized [recvmmsg] ring ({!Batch.create_rx}): one 64 KiB slot at
-    first, doubling up to 64 only while drains keep filling it — so a
-    sender that reads a handful of ACKs never pays for a server-sized ring.
+    {!Batch} train flushed by [flush] — equal-size runs for one peer leave
+    as one GSO message — and [poll] drains through a demand-sized
+    [recvmmsg] ring ({!Batch.create_rx}, which turns [UDP_GRO] on): one
+    64 KiB slot at first, doubling up to 64 only while drains keep filling
+    it — so a sender that reads a handful of ACKs never pays for a
+    server-sized ring — and every coalesced slot is served as the views of
+    its datagrams. The ring outlives the transport: the next batched
+    transport built on the same socket in the same domain (under the same
+    [LANREPRO_BATCH] fallback setting) takes it over instead of allocating
+    one, so a closed-loop sender that builds a transport per transfer
+    ({!Peer.send}) allocates its ring once. Building a transport retires
+    any earlier one on its socket; the two must not be used alternately.
     Otherwise every operation is one syscall, through one receive buffer
-    that only this unbatched path allocates. Transient receive errors are
-    absorbed: a pending ICMP port-unreachable is consumed and the wait
-    continues.
+    that only this unbatched path allocates, and [UDP_GRO] is turned off,
+    so a socket a batching transport used before receives whole datagrams
+    again. Transient receive errors are absorbed: a pending
+    ICMP port-unreachable is consumed and the wait continues.
 
     With [poller] the socket is registered on it for edge-triggered
     readiness, the blocking wait runs through {!Poller.wait} instead of

@@ -1,8 +1,10 @@
 (* The sendmmsg/recvmmsg packet-train fast path: wire-level round trips,
    per-datagram outcome accounting across partial sends, the ENOSYS/env
-   fallback, fault injection upstream of the batch, and a batched swarm
-   soak. Every test also passes with LANREPRO_BATCH=fallback (the CI matrix
-   runs the whole suite both ways). *)
+   fallback, fault injection upstream of the batch, a batched swarm soak,
+   and the GSO/GRO train rule: how a train is grouped into UDP_SEGMENT
+   messages, how a GRO receiver cuts it apart, and what a refusal does.
+   Every test also passes with LANREPRO_BATCH=0 and =fallback (the CI
+   matrix runs the whole suite all three ways). *)
 
 let payload_of i = Bytes.of_string (Printf.sprintf "datagram-%04d" i)
 
@@ -26,8 +28,8 @@ let drain_payloads rx rx_socket ~expected =
     if n = 0 then ignore (Unix.select [ rx_socket ] [] [] 0.05)
     else
       for i = 0 to n - 1 do
-        let buf, len, _from = Sockets.Batch.get rx i in
-        got := Bytes.sub_string buf 0 len :: !got;
+        let buf, pos, len, _from = Sockets.Batch.get rx i in
+        got := Bytes.sub_string buf pos len :: !got;
         incr count
       done
   done;
@@ -197,11 +199,11 @@ let check_rx_ring_growth ~force_fallback () =
         let n = Sockets.Batch.recv rx ~limit in
         Alcotest.(check int) (label ^ ": drained") expect n;
         for i = 0 to n - 1 do
-          let buf, len, _ = Sockets.Batch.get rx i in
+          let buf, pos, len, _ = Sockets.Batch.get rx i in
           Alcotest.(check string)
             (label ^ ": slot keeps its datagram")
             (Bytes.to_string (payload_of (!received + i)))
-            (Bytes.sub_string buf 0 len)
+            (Bytes.sub_string buf pos len)
         done;
         received := !received + n;
         Alcotest.(check int) (label ^ ": slots after") slots (Sockets.Batch.rx_slots rx)
@@ -406,6 +408,212 @@ let test_swarm_batched () =
   Alcotest.(check int) "none failed" 0 report.Server.Swarm.failed;
   Alcotest.(check int) "server verified every flow" 8 (Server.Swarm.server_verified report)
 
+(* ------------------------------------------------------ GSO/GRO trains -- *)
+
+external set_no_check : Unix.file_descr -> bool = "lanrepro_test_set_no_check"
+
+(* Datagram [i] of a train, [len] bytes that depend on [i] and on their
+   offset: a datagram re-cut, merged or swapped does not compare equal. *)
+let stamped i len = Bytes.init len (fun k -> Char.chr (((i * 7) + k) land 0xff))
+
+type receiver = {
+  socket : Unix.file_descr;
+  address : Unix.sockaddr;
+  rx : Sockets.Batch.rx;
+}
+
+(* [gro]: the recvmmsg ring, which turns UDP_GRO on; otherwise the forced
+   recvfrom fallback, a plain socket the kernel hands single datagrams. *)
+let receiver ~gro =
+  let socket, address = Sockets.Udp.create_socket () in
+  Unix.set_nonblock socket;
+  (try Unix.setsockopt_int socket Unix.SO_RCVBUF (4 * 1024 * 1024)
+   with Unix.Unix_error _ -> ());
+  let rx = Sockets.Batch.create_rx ~capacity:8 ~force_fallback:(not gro) ~socket () in
+  { socket; address; rx }
+
+(* Whether trains really leave as GSO messages and arrive coalesced: the
+   syscalls, and UDP_GRO (which postdates UDP_SEGMENT), asked on a socket
+   of its own so no receiver under test changes kind. *)
+let gso_live () =
+  Sockets.Batch.kernel_support ()
+  &&
+  let probe, _ = Sockets.Udp.create_socket () in
+  Fun.protect
+    ~finally:(fun () -> Sockets.Udp.close probe)
+    (fun () -> Sockets.Batch.set_gro probe true)
+
+let skip_check what =
+  Printf.printf "SKIP %s: this kernel does not coalesce UDP trains\n%!" what
+
+let settle r =
+  ignore (Unix.select [ r.socket ] [] [] 1.0);
+  Unix.sleepf 0.01
+
+(* Grow [r]'s ring to [slots] with single datagrams, drained, so that one
+   drain of the train under test can fill that many slots and no more. *)
+let warm r ~slots =
+  let tx, _ = Sockets.Udp.create_socket () in
+  let rounds = ref 0 in
+  while Sockets.Batch.rx_slots r.rx < slots do
+    incr rounds;
+    if !rounds > 50 then Alcotest.failf "ring did not grow to %d slots" slots;
+    let k = Sockets.Batch.rx_slots r.rx in
+    for _ = 1 to k do
+      ignore
+        (Sockets.Udp.send_bytes tx r.address (Bytes.of_string "warm")
+          : Sockets.Udp.send_outcome)
+    done;
+    settle r;
+    ignore (Sockets.Batch.recv r.rx ~limit:k : int)
+  done;
+  settle r;
+  while Sockets.Batch.recv r.rx ~limit:slots > 0 do () done;
+  Sockets.Udp.close tx
+
+(* Push [train] — (receiver, length) pairs — through one fast-path batch,
+   flush it, and return the report with each receiver's expected
+   datagrams in order. *)
+let send_train ?outcomes batch receivers train =
+  List.iteri
+    (fun i (r, len) ->
+      let on_outcome =
+        Option.map (fun counts o ->
+            match o with
+            | Sockets.Udp.Sent -> counts.(i) <- counts.(i) + 1
+            | Sockets.Udp.Send_failed _ -> Alcotest.failf "datagram %d failed" i)
+          outcomes
+      in
+      Sockets.Batch.push batch ~peer:receivers.(r).address ?on_outcome (stamped i len))
+    train;
+  let report = Sockets.Batch.flush batch in
+  let expected r =
+    List.concat
+      (List.mapi
+         (fun i (r', len) -> if r' = r then [ Bytes.to_string (stamped i len) ] else [])
+         train)
+  in
+  (report, Array.mapi (fun r _ -> expected r) receivers)
+
+let check_delivered label receivers expected =
+  Array.iteri
+    (fun r recv ->
+      let want = expected.(r) in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s: receiver %d gets every datagram intact, in order" label r)
+        want
+        (drain_payloads recv.rx recv.socket ~expected:(List.length want)))
+    receivers
+
+(* Run [f] on two receivers of one kind and a fast-path sender, closing all
+   three after. *)
+let with_train_sockets ~gro f =
+  let tx, _ = Sockets.Udp.create_socket () in
+  let receivers = [| receiver ~gro; receiver ~gro |] in
+  Fun.protect
+    ~finally:(fun () ->
+      Sockets.Udp.close tx;
+      Array.iter (fun r -> Sockets.Udp.close r.socket) receivers)
+    (fun () ->
+      let batch = Sockets.Batch.create ~capacity:256 ~force_fallback:false ~socket:tx () in
+      f tx batch receivers)
+
+(* Two interleaved peers; a short datagram mid-train, followed by more of
+   the full size, which must start a new group (the kernel would re-cut a
+   group at segment boundaries); a short last datagram. *)
+let check_mixed_train ~gro () =
+  with_train_sockets ~gro (fun _ batch receivers ->
+      let run r k len = List.init k (fun _ -> (r, len)) in
+      let train =
+        run 0 5 1000 @ run 1 3 1000 @ run 0 2 1000 @ [ (0, 300) ] @ run 0 4 1000
+        @ [ (1, 1000); (0, 1000); (1, 1000); (0, 1000) ]
+        @ run 1 6 800 @ [ (1, 799) ] @ run 1 2 800 @ run 0 3 1000 @ [ (0, 700) ]
+      in
+      let report, expected = send_train batch receivers train in
+      Alcotest.(check int) "all sent" (List.length train) report.Sockets.Batch.sent;
+      check_delivered "mixed train" receivers expected)
+
+(* The benchmark's train: 64 DATA datagrams of 1048 bytes. At most 62 of
+   them fit the 65507-byte UDP limit, so a GRO receiver must take the
+   whole train in two ring slots, from one drain. *)
+let check_benchmark_train ~gro () =
+  with_train_sockets ~gro (fun _ batch receivers ->
+      let r = receivers.(0) in
+      let train = List.init 64 (fun _ -> (0, 1048)) in
+      if not gro then begin
+        let _, expected = send_train batch receivers train in
+        check_delivered "64 x 1048" receivers expected
+      end
+      else if not (gso_live ()) then begin
+        skip_check "two-slot train";
+        let _, expected = send_train batch receivers train in
+        check_delivered "64 x 1048" receivers expected
+      end
+      else begin
+        warm r ~slots:2;
+        let report, expected = send_train batch receivers train in
+        Alcotest.(check int) "one sendmmsg" 1 report.Sockets.Batch.syscalls;
+        settle r;
+        let n = Sockets.Batch.recv r.rx ~limit:2 in
+        Alcotest.(check int) "64 datagrams out of one two-slot drain" 64 n;
+        Alcotest.(check (list string))
+          "each cut intact, in order" expected.(0)
+          (List.init n (fun i ->
+               let buf, pos, len, _ = Sockets.Batch.get r.rx i in
+               Bytes.sub_string buf pos len))
+      end)
+
+(* 200 small same-size datagrams: more segments than one GSO message may
+   carry (64 here; the kernel refuses past 128), so four messages in one
+   sendmmsg, reaching a GRO receiver as four slots. *)
+let check_segment_cap ~gro () =
+  with_train_sockets ~gro (fun _ batch receivers ->
+      let r = receivers.(0) in
+      let train = List.init 200 (fun _ -> (0, 100)) in
+      if gro && gso_live () then begin
+        warm r ~slots:4;
+        let report, expected = send_train batch receivers train in
+        Alcotest.(check int) "one sendmmsg, no refusal" 1 report.Sockets.Batch.syscalls;
+        settle r;
+        let n = Sockets.Batch.recv r.rx ~limit:4 in
+        Alcotest.(check int) "200 datagrams out of one four-slot drain" 200 n;
+        Alcotest.(check (list string))
+          "each cut intact, in order" expected.(0)
+          (List.init n (fun i ->
+               let buf, pos, len, _ = Sockets.Batch.get r.rx i in
+               Bytes.sub_string buf pos len))
+      end
+      else begin
+        if gro then skip_check "four-slot train";
+        let report, expected = send_train batch receivers train in
+        Alcotest.(check int) "all sent" 200 report.Sockets.Batch.sent;
+        check_delivered "200 x 100" receivers expected
+      end)
+
+(* SO_NO_CHECK makes the kernel refuse every GSO message. The refused
+   window goes out again ungrouped: every datagram arrives, every outcome
+   fires once, and the batch stops grouping, so the next flush is one
+   plain sendmmsg with no refusal. *)
+let check_refusal ~gro () =
+  with_train_sockets ~gro (fun tx batch receivers ->
+      if not (gso_live () && set_no_check tx) then skip_check "GSO refusal"
+      else begin
+        let train = List.init 40 (fun _ -> (0, 500)) @ List.init 40 (fun _ -> (1, 500)) in
+        let outcomes = Array.make (List.length train) 0 in
+        let report, expected = send_train ~outcomes batch receivers train in
+        Alcotest.(check int) "all sent" 80 report.Sockets.Batch.sent;
+        Alcotest.(check bool) "refused once, resubmitted once" true
+          (report.Sockets.Batch.syscalls <= 2);
+        Array.iteri
+          (fun i c -> Alcotest.(check int) (Printf.sprintf "outcome %d once" i) 1 c)
+          outcomes;
+        check_delivered "refused train" receivers expected;
+        let report, expected = send_train batch receivers train in
+        Alcotest.(check int)
+          "later flush: one plain sendmmsg" 1 report.Sockets.Batch.syscalls;
+        check_delivered "later train" receivers expected
+      end)
+
 let () =
   Alcotest.run "batch"
     [
@@ -442,4 +650,17 @@ let () =
             test_peer_transfer_batched_lossy;
         ] );
       ("swarm", [ Alcotest.test_case "batched 8-sender soak" `Quick test_swarm_batched ]);
+      ( "gso",
+        List.concat_map
+          (fun (name, check) ->
+            [
+              Alcotest.test_case (name ^ ", GRO receiver") `Quick (check ~gro:true);
+              Alcotest.test_case (name ^ ", plain receiver") `Quick (check ~gro:false);
+            ])
+          [
+            ("mixed train", check_mixed_train);
+            ("64 x 1048 B train", check_benchmark_train);
+            ("segment cap", check_segment_cap);
+            ("refusal", check_refusal);
+          ] );
     ]

@@ -32,8 +32,8 @@ let test_memnet_delivery () =
          (Net.transport a).Sockets.Transport.send ~peer:(Net.address b)
            ~on_outcome:ignore (Bytes.of_string "ping");
          match (Net.transport b).Sockets.Transport.recv ~timeout_ns:(Some 1_000_000) with
-         | `Datagram { Sockets.Transport.buf; len; from } ->
-             got := Some (Bytes.sub_string buf 0 len, from, Time.to_ns (Sim.now sim))
+         | `Datagram { Sockets.Transport.buf; pos; len; from } ->
+             got := Some (Bytes.sub_string buf pos len, from, Time.to_ns (Sim.now sim))
          | `Timeout -> ()));
   match !got with
   | None -> Alcotest.fail "datagram never delivered"
@@ -89,8 +89,8 @@ let test_memnet_port_reuse_receives_in_flight () =
            (Net.transport replacement).Sockets.Transport.recv
              ~timeout_ns:(Some 1_000_000)
          with
-         | `Datagram { Sockets.Transport.buf; len; _ } ->
-             got := Some (Bytes.sub_string buf 0 len)
+         | `Datagram { Sockets.Transport.buf; pos; len; _ } ->
+             got := Some (Bytes.sub_string buf pos len)
          | `Timeout -> ()));
   Alcotest.(check (option string)) "rebound port receives it" (Some "stale") !got
 

@@ -582,6 +582,103 @@ let test_tcp_baseline_roundtrip () =
   Alcotest.(check bool) "data intact" true (String.equal !received data);
   Alcotest.(check bool) "elapsed positive" true (elapsed_ns > 0)
 
+(* An eight-datagram train of 600-byte datagrams, sent through a fast-path
+   batch: one GSO message where the kernel has them. *)
+let gso_train = List.init 8 (fun i -> String.make 600 (Char.chr (Char.code 'A' + i)))
+
+let send_gso_train tx address =
+  let batch = Sockets.Batch.create ~force_fallback:false ~socket:tx () in
+  List.iter
+    (fun d -> Sockets.Batch.push batch ~peer:address (Bytes.of_string d))
+    gso_train;
+  ignore (Sockets.Batch.flush batch : Sockets.Batch.report)
+
+(* The train's views from [transport]: (offset, bytes) each. *)
+let collect_views (transport : Sockets.Transport.t) =
+  List.map
+    (fun _ ->
+      match transport.Sockets.Transport.recv ~timeout_ns:(Some 2_000_000_000) with
+      | `Datagram { Sockets.Transport.buf; pos; len; _ } ->
+          (pos, Bytes.sub_string buf pos len)
+      | `Timeout -> Alcotest.fail "train did not arrive")
+    gso_train
+
+let coalescing () =
+  Sockets.Batch.kernel_support () && not (Sockets.Batch.env_force_fallback ())
+
+let check_coalesced label views =
+  if coalescing () then
+    Alcotest.(check (list int))
+      label
+      (List.init (List.length gso_train) (fun i -> 600 * i))
+      (List.map fst views)
+  else Printf.printf "SKIP %s: the recvmmsg path is off\n%!" label
+
+(* A GSO train into a batched transport arrives as views into one coalesced
+   slot, each with its own offset; the same socket behind an unbatched
+   transport afterwards gets whole datagrams again, because building that
+   transport turned UDP_GRO off (recvfrom has no way to cut a train). *)
+let test_transport_gro_views () =
+  let socket, address = Sockets.Udp.create_socket () in
+  let tx, _ = Sockets.Udp.create_socket () in
+  Fun.protect
+    ~finally:(fun () ->
+      Sockets.Udp.close socket;
+      Sockets.Udp.close tx)
+    (fun () ->
+      let batched = Sockets.Transport.udp ~batch:true ~socket () in
+      send_gso_train tx address;
+      let views = collect_views batched in
+      Alcotest.(check (list string)) "batched: each view is a sent datagram" gso_train
+        (List.map snd views);
+      check_coalesced "batched: views cut one coalesced slot" views;
+      let unbatched = Sockets.Transport.udp ~batch:false ~socket () in
+      send_gso_train tx address;
+      let views = collect_views unbatched in
+      Alcotest.(check (list string))
+        "unbatched: whole datagrams" gso_train (List.map snd views);
+      Alcotest.(check bool) "unbatched: every view at offset 0" true
+        (List.for_all (fun (pos, _) -> pos = 0) views))
+
+(* Batched transports built one after another on one socket (a closed-loop
+   sender builds one per transfer) share one receive ring instead of
+   allocating a 64 KiB slot each. A socket that reuses a closed socket's
+   descriptor takes that ring over too, and still gets coalesced trains:
+   the ring re-arms UDP_GRO on it. *)
+let test_transport_ring_reuse () =
+  let tx, _ = Sockets.Udp.create_socket () in
+  let first, _ = Sockets.Udp.create_socket () in
+  let allocated f =
+    let before = Gc.allocated_bytes () in
+    ignore (f () : Sockets.Transport.t);
+    Gc.allocated_bytes () -. before
+  in
+  let build socket () = Sockets.Transport.udp ~batch:true ~socket () in
+  ignore (build first () : Sockets.Transport.t);
+  let again = allocated (build first) in
+  if again >= 16_384. then Alcotest.failf "a second transport allocated %.0f B" again;
+  Sockets.Udp.close first;
+  let second, address = Sockets.Udp.create_socket () in
+  Fun.protect
+    ~finally:(fun () ->
+      Sockets.Udp.close second;
+      Sockets.Udp.close tx)
+    (fun () ->
+      if second <> first then print_endline "SKIP recycled-descriptor check: not recycled"
+      else begin
+        let transport = build second () in
+        send_gso_train tx address;
+        let views = collect_views transport in
+        Alcotest.(check (list string)) "recycled: each view is a sent datagram" gso_train
+          (List.map snd views);
+        check_coalesced "recycled: views cut one coalesced slot" views
+      end;
+      let other, _ = Sockets.Udp.create_socket () in
+      let fresh = allocated (build other) in
+      Sockets.Udp.close other;
+      if fresh < 65_536. then
+        Alcotest.failf "a transport on a new socket allocated %.0f B" fresh)
+
 let () =
   Alcotest.run "sockets"
     (main_suites
@@ -593,6 +690,13 @@ let () =
           ] );
         ( "tcp-baseline",
           [ Alcotest.test_case "roundtrip" `Quick test_tcp_baseline_roundtrip ] );
+        ( "transport",
+          [
+            Alcotest.test_case "GRO views, then whole datagrams unbatched" `Quick
+              test_transport_gro_views;
+            Alcotest.test_case "one receive ring per socket" `Quick
+              test_transport_ring_reuse;
+          ] );
         ( "pacing",
           [ Alcotest.test_case "paced send roundtrip" `Quick test_paced_send_roundtrip ] );
         ( "adaptive",
