@@ -235,22 +235,6 @@ let engine_proc h index () =
 
 let server_address = Unix.ADDR_INET (Unix.inet_addr_loopback, server_port)
 
-(* Seeded random payload, eight bytes per RNG draw: senders generate tens of
-   kilobytes per transfer, and a per-byte draw is the harness's hottest loop. *)
-let payload_for rng bytes =
-  let buf = Bytes.create bytes in
-  let full = bytes / 8 in
-  for i = 0 to full - 1 do
-    Bytes.set_int64_le buf (i * 8) (Stats.Rng.bits64 rng)
-  done;
-  if bytes land 7 <> 0 then begin
-    let word = Stats.Rng.bits64 rng in
-    for i = full * 8 to bytes - 1 do
-      Bytes.set_uint8 buf i (Int64.to_int (Int64.shift_right_logical word ((i land 7) * 8)) land 0xff)
-    done
-  end;
-  Bytes.unsafe_to_string buf
-
 let range rng lo hi = if hi <= lo then lo else lo + Stats.Rng.int rng (hi - lo + 1)
 
 let packets_of h bytes = (bytes + h.cfg.packet_bytes - 1) / h.cfg.packet_bytes
@@ -271,7 +255,7 @@ let one_transfer h slot ~ep ~rng ~suite ~transfer_id ?(avoid_total = 0) () =
     if avoidable && packets_of h bytes = avoid_total then pick () else bytes
   in
   let bytes = pick () in
-  let data = payload_for rng bytes in
+  let data = Stats.Rng.string rng bytes in
   let crc = Packet.Checksum.crc32_string data in
   let packets = packets_of h bytes in
   slot.active_id <- transfer_id;

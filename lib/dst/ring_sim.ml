@@ -103,22 +103,6 @@ let violation h s =
 let outcome_str o = Format.asprintf "%a" Protocol.Action.pp_outcome o
 let addr_of server = Unix.ADDR_INET (Unix.inet_addr_loopback, base_port + server)
 
-(* Seeded random payload, eight bytes per RNG draw. *)
-let payload_for rng bytes =
-  let buf = Bytes.create bytes in
-  let full = bytes / 8 in
-  for i = 0 to full - 1 do
-    Bytes.set_int64_le buf (i * 8) (Stats.Rng.bits64 rng)
-  done;
-  if bytes land 7 <> 0 then begin
-    let word = Stats.Rng.bits64 rng in
-    for i = (full * 8) to bytes - 1 do
-      Bytes.set_uint8 buf i
-        (Int64.to_int (Int64.shift_right_logical word ((i land 7) * 8)) land 0xff)
-    done
-  end;
-  Bytes.unsafe_to_string buf
-
 (* ---------------------------------------------------------------- servers *)
 
 let on_complete h index (e : Server.Engine.completion_event) =
@@ -250,7 +234,7 @@ let client_proc h () =
   let rng = Stats.Rng.derive ~root:cfg.seed ~index:42 in
   (* Let every server come up before the fan-out. *)
   Proc.sleep (Time.span_ns 5_000_000);
-  let data = payload_for rng cfg.object_bytes in
+  let data = Stats.Rng.string rng cfg.object_bytes in
   let crcs = Ring.Client.stripe_crcs ~data ~stripes:cfg.stripes in
   let placement =
     Ring.Placement.create ~vnodes:cfg.vnodes ~seed:cfg.seed

@@ -582,7 +582,7 @@ let ablation_rtt ppf =
   Format.fprintf ppf "%s@."
     (Report.Table.render ~header:[ "pn"; "timeout policy"; "mean (ms)"; "sigma (ms)" ] ~rows ());
   Format.fprintf ppf
-    "a badly chosen fixed interval is several times worse once timeouts drive repair;@.the persistent per-peer estimator self-tunes to the well-chosen value after one@.transfer, without knowing To(D) in advance.@."
+    "a badly chosen fixed interval is several times worse once timeouts drive repair;@.at low loss the persistent per-peer estimator self-tunes to the well-chosen value@.without knowing To(D) in advance; at pn = 1e-2 Karn's rule leaves its timeout@.backed off through every retransmitted exchange, and it lands between the two@.fixed intervals.@."
 
 let ablation_pagesize ppf =
   section ppf "Ablation: file-access page size (the paper's Section 1 motivation)";

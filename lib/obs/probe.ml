@@ -66,16 +66,26 @@ let handled t (m : Packet.Message.t) =
 let timeout t ?detail () = emit t Event.Timeout ?detail ()
 let deliver t ~seq = emit t Event.Deliver ~detail:"data" ~seq ()
 
+(* Details that need formatting are built only when a recorder will keep
+   them: [complete] and [reject] run on every settle and every garbage
+   datagram, recorder or not. *)
 let complete t outcome =
-  emit t Event.Complete ~detail:(Format.asprintf "%a" Protocol.Action.pp_outcome outcome) ()
+  match t.recorder with
+  | None -> ()
+  | Some _ ->
+      emit t Event.Complete ~detail:(Format.asprintf "%a" Protocol.Action.pp_outcome outcome) ()
 
 let drop t dir = emit t Event.Drop ~detail:(match dir with `Tx -> "tx" | `Rx -> "rx") ()
 
 let reject t (err : Packet.Codec.error) =
-  match err with
-  | Packet.Codec.Bad_header_checksum | Packet.Codec.Bad_payload_checksum ->
-      emit t Event.Corrupt_reject ~detail:(Format.asprintf "%a" Packet.Codec.pp_error err) ()
-  | _ -> emit t Event.Garbage ~detail:(Format.asprintf "%a" Packet.Codec.pp_error err) ()
+  match t.recorder with
+  | None -> ()
+  | Some _ ->
+      let detail = Format.asprintf "%a" Packet.Codec.pp_error err in
+      (match err with
+      | Packet.Codec.Bad_header_checksum | Packet.Codec.Bad_payload_checksum ->
+          emit t Event.Corrupt_reject ~detail ()
+      | _ -> emit t Event.Garbage ~detail ())
 
 let fault t name = emit t Event.Fault ~detail:name ()
 

@@ -85,26 +85,37 @@ let postmortem t ~reason =
   let recorded = events t in
   if recorded = [] then None
   else begin
-    let path =
-      match t.postmortem_path with
-      | Some p -> p
-      | None -> Filename.temp_file "lanrepro-flight" ".jsonl"
-    in
     let dropped = total t - List.length recorded in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc
-          (Json.to_string
-             (Json.Obj [ ("postmortem", Json.String reason); ("dropped", Json.Int dropped) ]));
-        output_char oc '\n';
-        List.iter
-          (fun event ->
-            output_string oc (Json.to_string (Event.to_json event));
-            output_char oc '\n')
-          recorded);
-    Log.warn (fun f ->
-        f "flight recorder: %d events dumped to %s (%s)" (List.length recorded) path reason);
-    Some path
+    let dump () =
+      let path =
+        match t.postmortem_path with
+        | Some p -> p
+        | None -> Filename.temp_file "lanrepro-flight" ".jsonl"
+      in
+      let oc = open_out path in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          output_string oc
+            (Json.to_string
+               (Json.Obj [ ("postmortem", Json.String reason); ("dropped", Json.Int dropped) ]));
+          output_char oc '\n';
+          List.iter
+            (fun event ->
+              output_string oc (Json.to_string (Event.to_json event));
+              output_char oc '\n')
+            recorded;
+          flush oc);
+      path
+    in
+    (* A dump is a diagnostic: a full disk or an unusable temp directory
+       must not turn the failure it documents into a crash. *)
+    match dump () with
+    | path ->
+        Log.warn (fun f ->
+            f "flight recorder: %d events dumped to %s (%s)" (List.length recorded) path reason);
+        Some path
+    | exception Sys_error msg ->
+        Log.warn (fun f -> f "flight recorder: dump failed (%s): %s" reason msg);
+        None
   end

@@ -4,9 +4,13 @@
     in memory for near-zero cost, timestamps them from a pluggable clock
     (simulation time or [CLOCK_MONOTONIC]), and normalizes timestamps to the
     first recorded event so journals from both transports start near zero.
-    On a failure outcome the transports call {!postmortem}, which dumps the
-    ring as JSONL — to the configured path, or to a fresh temp file —
-    so "what were the last N datagrams doing" survives the crash site. *)
+    {!postmortem} dumps the ring as JSONL — to the configured path, or to a
+    fresh temp file — so "what were the last N datagrams doing" survives
+    the crash site. Its callers: the one-transfer endpoints
+    ([Sockets.Peer.send_via], [Sockets.Peer.serve_one]) and the simulator's
+    [Simnet.Driver] on a failure outcome, and [Server.Engine] once, on its
+    first invariant violation. An engine's flows share one ring and never
+    dump it per flow: it is exported whole at exit ([--trace-out]). *)
 
 type t
 
@@ -42,5 +46,7 @@ val clear : t -> unit
 val postmortem : t -> reason:string -> string option
 (** Dumps the ring as JSONL — a meta line
     [{"postmortem":reason,"dropped":n}] followed by one event per line — and
-    returns the path written, or [None] when the ring is empty. Also logs
-    the path at warning level so an aborted CLI run points at its journal. *)
+    returns the path written, or [None] when the ring is empty or the dump
+    cannot be written (a [Sys_error] — unusable temp directory, full disk —
+    is logged at warning level, never raised). Also logs the path at
+    warning level so an aborted CLI run points at its journal. *)

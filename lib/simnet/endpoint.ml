@@ -25,10 +25,11 @@ let create ?faults ?on_undecodable ?probe ?rtt ?(pacing = Time.span_zero) ~sim ~
     Timer.create sim ~on_fire:(fun () -> ignore (Mailbox.try_put events Protocol.Action.Timeout))
   in
   (* Adaptive-timeout bookkeeping: the round-trip sample is the gap between
-     the last transmission and the next incoming message, discarded when a
-     timeout intervened (Karn's rule). *)
+     the last transmission and the next incoming message. A timeout clears
+     it after its retransmission has gone out, so the ambiguous reply is
+     never sampled (Karn's rule); the next send that a message triggers
+     arms sampling again. *)
   let last_send = ref None in
-  let timed_out_since_send = ref false in
   let put_on_wire m = Netmodel.Station.send station ~dst:peer ~bytes:(frame_bytes params m) m in
   (* With a fault pipeline, one protocol [Send] becomes zero or more wire
      emissions. Station.send blocks (buffer reservation, copy cost), so
@@ -59,8 +60,7 @@ let create ?faults ?on_undecodable ?probe ?rtt ?(pacing = Time.span_zero) ~sim ~
           Time.span_to_ns pacing > 0
           && m.Packet.Message.kind = Packet.Kind.Data
         then Proc.sleep pacing;
-        last_send := Some (Sim.now sim);
-        timed_out_since_send := false
+        last_send := Some (Sim.now sim)
     | Protocol.Action.Arm_timer ns ->
         let ns = match rtt with Some r -> Protocol.Rtt.timeout_ns r | None -> ns in
         Timer.arm timer (Time.span_ns ns)
@@ -74,15 +74,13 @@ let create ?faults ?on_undecodable ?probe ?rtt ?(pacing = Time.span_zero) ~sim ~
   in
   let note_event event =
     match (rtt, event) with
-    | Some r, Protocol.Action.Timeout ->
-        timed_out_since_send := true;
-        Protocol.Rtt.backoff r
+    | Some r, Protocol.Action.Timeout -> Protocol.Rtt.backoff r
     | Some r, Protocol.Action.Message _ -> begin
         match !last_send with
-        | Some sent when not !timed_out_since_send ->
+        | Some sent ->
             let sample_ns = Time.span_to_ns (Time.diff (Sim.now sim) sent) in
             if sample_ns > 0 then Protocol.Rtt.observe r ~sample_ns
-        | _ -> ()
+        | None -> ()
       end
     | None, _ -> ()
   in
@@ -122,7 +120,7 @@ let create ?faults ?on_undecodable ?probe ?rtt ?(pacing = Time.span_zero) ~sim ~
         List.iter execute (machine.Protocol.Machine.handle event);
         (match event with
         | Protocol.Action.Message m -> Obs.Probe.handled probe m
-        | Protocol.Action.Timeout -> ());
+        | Protocol.Action.Timeout -> last_send := None);
         check_quiet_completion ()
       done);
   t

@@ -216,14 +216,6 @@ let completion_of_machine t =
 
 let close t completion =
   Obs.Probe.complete t.probe completion.outcome;
-  (match completion.outcome with
-  | Protocol.Action.Success -> ()
-  | outcome ->
-      let side = if Option.is_none t.initiator then "flow" else "send" in
-      ignore
-        (Obs.Probe.postmortem t.probe
-           ~reason:(Format.asprintf "%s: %a" side Protocol.Action.pp_outcome outcome)
-          : string option));
   t.state <- Closed completion
 
 let abort t ~outcome =

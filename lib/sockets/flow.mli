@@ -21,7 +21,12 @@
     {b No-hang guarantee.} Every flow reaches [`Done]: the handshake gives
     up after the tuning's [max_attempts], the idle watchdog aborts a flow
     whose peer goes silent, the linger window is bounded, and [force_done]
-    settles a flow unconditionally at driver shutdown. *)
+    settles a flow unconditionally at driver shutdown.
+
+    {b Telemetry.} A flow reports through its probe (datagrams, timeouts,
+    its terminal [Complete]) and never dumps the probe's flight recorder:
+    an engine's flows share one ring, so a failed flow cannot own it. The
+    one-transfer endpoints in {!Peer} dump on a failure outcome. *)
 
 type action =
   | Transmit of Packet.Message.t

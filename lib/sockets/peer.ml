@@ -95,6 +95,18 @@ let drive (ctx : Io_ctx.t) ~(transport : Transport.t) ~probe ~counters ?accept_d
   Option.bind !slot (fun (f, _) ->
       match Flow.status f with `Done c -> Some (f, c) | `Running | `Lingering -> None)
 
+(* A one-transfer endpoint that ends in failure dumps its flight ring, so the
+   last datagrams before the failure survive the run. An engine's flows share
+   one ring and do not: it is exported whole at exit instead. *)
+let dump_on_failure probe ~side outcome =
+  match outcome with
+  | Protocol.Action.Success -> ()
+  | outcome ->
+      ignore
+        (Obs.Probe.postmortem probe
+           ~reason:(Format.asprintf "%s: %a" side Protocol.Action.pp_outcome outcome)
+          : string option)
+
 let send_via ?ctx ?transfer_id ?(packet_bytes = 1024) ?rtt ?idle_timeout_ns ?stripe
     ~transport ~peer ~suite ~data () =
   let ctx = match ctx with Some c -> c | None -> Io_ctx.default () in
@@ -107,6 +119,7 @@ let send_via ?ctx ?transfer_id ?(packet_bytes = 1024) ?rtt ?idle_timeout_ns ?str
       ~suite ~transfer_id ~probe ~counters ~now:(ctx.Io_ctx.clock ()) data
   in
   let flow, c = Option.get (drive ctx ~transport ~probe ~counters (Some (peer, started))) in
+  dump_on_failure probe ~side:"send" c.Flow.outcome;
   let elapsed_ns = ctx.Io_ctx.clock () - Flow.started_ns flow in
   publish_metrics ctx ~side:"sender" ~elapsed_ns counters;
   { outcome = c.Flow.outcome; elapsed_ns; counters; adaptive = Flow.adaptive flow }
@@ -143,6 +156,7 @@ let serve_one ?ctx ?idle_timeout_ns ?accept_timeout_ns ?suite ~socket () =
   publish_metrics ctx ~side:"receiver" counters;
   match settled with
   | Some (_, c) ->
+      dump_on_failure probe ~side:"flow" c.Flow.outcome;
       {
         data = c.Flow.data;
         transfer_id = c.Flow.transfer_id;

@@ -119,7 +119,8 @@ val send :
     injection count is surfaced in [counters.faults_injected]).
     [ctx.recorder] journals the sender's datagram events on lane ["sender"]
     (timestamps from [ctx.clock], normalized to the first event) and is
-    dumped automatically on a non-[Success] outcome. [ctx.metrics] receives
+    dumped ({!Obs.Recorder.postmortem}, reason ["send: <outcome>"]) on a
+    non-[Success] outcome. [ctx.metrics] receives
     the counter record and an elapsed-time gauge, labelled
     [side=sender, transport=udp]. *)
 
@@ -147,6 +148,8 @@ val serve_one :
 
     [ctx.recorder] journals the receiver's datagram events on lane
     ["receiver"]; sharing one recorder between [send] and [serve_one] is
-    safe — it is thread-safe and the clock installation is idempotent.
+    safe — it is thread-safe and the clock installation is idempotent. It
+    is dumped on a non-[Success] outcome, reason ["flow: <outcome>"] (or
+    ["serve_one: peer unreachable"] when no transfer arrived).
     [ctx.metrics] receives the counter record labelled
     [side=receiver, transport=udp]. *)

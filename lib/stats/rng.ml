@@ -1,4 +1,10 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro256** words live in one 32-byte buffer, read and written
+   as raw 64-bit integers, so a draw never boxes a stored word: mutable
+   [int64] record fields would box every assignment, 168 bytes per draw. *)
+type t = Bytes.t
+
+let[@inline] get t i = Bytes.get_int64_ne t (i * 8)
+let[@inline] set t i word = Bytes.set_int64_ne t (i * 8) word
 
 (* splitmix64 is used only to expand the seed into the four xoshiro words; it
    guarantees a non-zero state for any seed. *)
@@ -10,13 +16,14 @@ let splitmix64_next state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create ~seed =
-  let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64_next state in
-  let s1 = splitmix64_next state in
-  let s2 = splitmix64_next state in
-  let s3 = splitmix64_next state in
-  { s0; s1; s2; s3 }
+let expand state =
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set t i (splitmix64_next state)
+  done;
+  t
+
+let create ~seed = expand (ref (Int64.of_int seed))
 
 let derive ~root ~index =
   if index < 0 then invalid_arg "Rng.derive: index must be non-negative";
@@ -29,28 +36,23 @@ let derive ~root ~index =
   let state = ref (Int64.of_int root) in
   let mixed_root = splitmix64_next state in
   let state = ref (Int64.logxor mixed_root (Int64.of_int index)) in
-  let state = ref (splitmix64_next state) in
-  let s0 = splitmix64_next state in
-  let s1 = splitmix64_next state in
-  let s2 = splitmix64_next state in
-  let s3 = splitmix64_next state in
-  { s0; s1; s2; s3 }
+  expand (ref (splitmix64_next state))
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+let[@inline] bits64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get t 0 and s1 = get t 1 and s2 = get t 2 and s3 = get t 3 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  set t 0 (logxor s0 s3);
+  set t 1 (logxor s1 s2);
+  set t 2 (logxor s2 (shift_left s1 17));
+  set t 3 (rotl s3 45);
   result
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
 let split t =
   (* Derive a fresh seed from the parent stream and re-expand it; this is the
@@ -63,7 +65,7 @@ let int t bound =
   let nonnegative = Int64.to_int (bits64 t) land max_int in
   nonnegative mod bound
 
-let float t =
+let[@inline] float t =
   (* 53 high-quality bits mapped to [0,1). *)
   let bits = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   bits *. (1.0 /. 9007199254740992.0)
@@ -90,6 +92,21 @@ let exponential t ~mean =
 let uniform_float t ~lo ~hi =
   if not (hi > lo) then invalid_arg "Rng.uniform_float: empty interval";
   lo +. ((hi -. lo) *. float t)
+
+let string t n =
+  if n < 0 then invalid_arg "Rng.string: negative length";
+  let buf = Bytes.create n in
+  let full = n / 8 in
+  for i = 0 to full - 1 do
+    Bytes.set_int64_le buf (i * 8) (bits64 t)
+  done;
+  if n land 7 <> 0 then begin
+    let word = bits64 t in
+    for i = full * 8 to n - 1 do
+      Bytes.set_uint8 buf i (Int64.to_int (Int64.shift_right_logical word ((i land 7) * 8)) land 0xff)
+    done
+  end;
+  Bytes.unsafe_to_string buf
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -2,7 +2,13 @@
 
     The generator is xoshiro256** seeded through splitmix64, implemented from
     scratch so that every experiment in this repository is reproducible from a
-    single integer seed, independent of the OCaml stdlib [Random] state. *)
+    single integer seed, independent of the OCaml stdlib [Random] state.
+
+    The state is stored unboxed: a draw allocates nothing inside this module,
+    so the bulk generator {!string} and the derived draws ({!int},
+    {!bernoulli}, ...) are allocation-free. A call from another module still
+    boxes what {!bits64} and {!float} return; generate bulk bytes with
+    {!string} rather than a loop over {!bits64}. *)
 
 type t
 
@@ -51,6 +57,11 @@ val exponential : t -> mean:float -> float
 
 val uniform_float : t -> lo:float -> hi:float -> float
 (** Uniform in [\[lo, hi)]. *)
+
+val string : t -> int -> string
+(** [string t n] is [n] random bytes: [n / 8] draws of {!bits64} written as
+    little-endian words, then the low [n mod 8] bytes of one more draw when
+    [n] is not a multiple of 8. [n] must be non-negative. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -286,6 +286,45 @@ let test_engine_hands_over_at_verification () =
     "engine invariants hold after shutdown" []
     (Server.Engine.invariant_violations engine)
 
+(* An engine's flows share its flight recorder, so a flow that aborts must
+   not dump it: the ring is exported whole at exit, and the engine dumps on
+   its own only at an invariant violation. One REQ, then silence: the
+   flow's idle watchdog aborts it, and the configured dump path stays
+   unwritten. *)
+let test_engine_abort_writes_no_dump () =
+  let path = Filename.temp_file "dst_engine_flight" ".jsonl" in
+  Sys.remove path;
+  let sim = Sim.create () in
+  let net = Net.create ~sim ~seed:7 () in
+  let server_ep = Net.bind ~port:7_000 net in
+  let clock () = Time.to_ns (Sim.now sim) in
+  let recorder = Obs.Recorder.create ~postmortem:path () in
+  let engine =
+    Server.Engine.create ~max_flows:4
+      ~ctx:
+        (Sockets.Io_ctx.make ~clock ~recorder
+           ~tuning:(Protocol.Tuning.fixed ~retransmit_ns:5_000_000 ~max_attempts:3 ())
+           ())
+      ~transport:(Net.transport server_ep) ()
+  in
+  let env = Proc.env sim in
+  Proc.spawn env (fun () -> Server.Engine.run engine);
+  Proc.spawn env (fun () ->
+      let ep = Net.bind ~port:6_000 net in
+      (Net.transport ep).Sockets.Transport.send ~peer:(Net.address server_ep)
+        ~on_outcome:ignore
+        (Packet.Codec.encode
+           (req_message ~transfer_id:1 ~packet_bytes:512 ~total_bytes:2_048 ~data_crc:11l));
+      Proc.sleep (Time.span_ns 100_000_000);
+      Server.Engine.stop engine);
+  Sim.run ~until:(Time.of_ns 1_000_000_000) sim;
+  let t = Server.Engine.totals engine in
+  Alcotest.(check int) "the silent sender's flow aborted" 1 t.Server.Engine.aborted;
+  Alcotest.(check bool) "the ring recorded the flow" true (Obs.Recorder.total recorder > 0);
+  let dumped = Sys.file_exists path in
+  if dumped then Sys.remove path;
+  Alcotest.(check bool) "no flight dump written" false dumped
+
 (* ------------------------------------------------------------ whole system *)
 
 let config ~seed ~churn ~faults ~senders ~transfers =
@@ -501,6 +540,8 @@ let () =
             test_engine_supersede_on_address_reuse;
           Alcotest.test_case "hands the payload over at verification" `Quick
             test_engine_hands_over_at_verification;
+          Alcotest.test_case "an aborted flow writes no flight dump" `Quick
+            test_engine_abort_writes_no_dump;
         ] );
       ( "whole-system",
         [

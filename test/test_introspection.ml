@@ -231,13 +231,19 @@ let test_stat_socket_under_swarm_load () =
      reconciles with the rollup the report carries. *)
   let port = 45_991 in
   let live = ref None in
+  (* One query re-sends "stat" every 2 ms from one socket and takes the
+     first reply to any of its requests, so a request is pending at the
+     stat socket from just after it binds and any service poll during the
+     run answers it, however short the run. A single long attempt sent
+     before the socket bound is lost, and its retry can come after a fast
+     swarm has finished. *)
   let querier =
     Domain.spawn (fun () ->
         let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
         let deadline = Unix.gettimeofday () +. 20.0 in
         let rec loop () =
           if !live = None && Unix.gettimeofday () < deadline then (
-            (match Server.Admin.query ~timeout_ms:200 ~retries:1 addr with
+            (match Server.Admin.query ~timeout_ms:2 ~retries:2500 addr with
             | Ok json -> live := Some json
             | Error _ -> Unix.sleepf 0.01);
             loop ())

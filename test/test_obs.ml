@@ -104,6 +104,63 @@ let test_recorder_postmortem_dump () =
           Alcotest.(check (list event)) "dump equals the ring" (Obs.Recorder.events r) events));
   Sys.remove path
 
+let first_line path =
+  let ic = open_in path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> input_line ic)
+
+(* A one-transfer endpoint still dumps on failure: a sender whose handshake
+   goes unanswered writes the configured path, reason first. *)
+let test_send_failure_dumps () =
+  let path = Filename.temp_file "obs_send_postmortem" ".jsonl" in
+  Sys.remove path;
+  let silent, silent_address = Sockets.Udp.create_socket () in
+  let socket, _ = Sockets.Udp.create_socket () in
+  let recorder = Obs.Recorder.create ~postmortem:path () in
+  let ctx =
+    Sockets.Io_ctx.make ~recorder
+      ~tuning:(Protocol.Tuning.fixed ~retransmit_ns:5_000_000 ~max_attempts:3 ())
+      ()
+  in
+  let result =
+    Fun.protect
+      ~finally:(fun () ->
+        Sockets.Udp.close socket;
+        Sockets.Udp.close silent)
+      (fun () ->
+        Sockets.Peer.send ~ctx ~socket ~peer:silent_address
+          ~suite:(Protocol.Suite.Blast Protocol.Blast.Go_back_n) ~data:"no one listens" ())
+  in
+  Alcotest.(check bool) "sender gives up" true
+    (result.Sockets.Peer.outcome = Protocol.Action.Peer_unreachable);
+  Alcotest.(check bool) "dump written" true (Sys.file_exists path);
+  let meta = first_line path in
+  Sys.remove path;
+  Alcotest.(check bool)
+    (Printf.sprintf "meta line names the outcome: %s" meta)
+    true
+    (Str_exists.contains_substring meta "\"postmortem\":\"send: peer unreachable\"")
+
+(* A dump that cannot be written is logged and skipped, never raised: to a
+   path under a regular file, and to a fresh temp file when the temp
+   directory does not exist. *)
+let test_postmortem_unwritable () =
+  let file = Filename.temp_file "obs_not_a_dir" ".tmp" in
+  let temp_dir = Filename.get_temp_dir_name () in
+  Fun.protect
+    ~finally:(fun () ->
+      Filename.set_temp_dir_name temp_dir;
+      Sys.remove file)
+    (fun () ->
+      let r = Obs.Recorder.create ~postmortem:(Filename.concat file "flight.jsonl") () in
+      Obs.Recorder.emit r ~lane:"sender" ~kind:Obs.Event.Tx ~seq:1 ();
+      Alcotest.(check (option string)) "unwritable path: no dump" None
+        (Obs.Recorder.postmortem r ~reason:"watchdog");
+      let r = Obs.Recorder.create () in
+      Obs.Recorder.emit r ~lane:"sender" ~kind:Obs.Event.Tx ~seq:1 ();
+      Filename.set_temp_dir_name (Filename.concat file "tmp");
+      Alcotest.(check (option string)) "unusable temp directory: no dump" None
+        (Obs.Recorder.postmortem r ~reason:"watchdog"))
+
 (* ---------------------------------------------------------------- metrics *)
 
 let test_metrics_registry () =
@@ -358,6 +415,8 @@ let () =
         [
           Alcotest.test_case "ring wraparound keeps last N" `Quick test_recorder_wraparound;
           Alcotest.test_case "postmortem dump" `Quick test_recorder_postmortem_dump;
+          Alcotest.test_case "a failed send dumps" `Quick test_send_failure_dumps;
+          Alcotest.test_case "unwritable dump is skipped" `Quick test_postmortem_unwritable;
         ] );
       ( "metrics",
         [

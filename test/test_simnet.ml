@@ -225,6 +225,36 @@ let test_total_loss_gives_up () =
   Alcotest.(check bool) "gave up" true
     (result.Simnet.Driver.outcome = Protocol.Action.Too_many_attempts)
 
+(* Karn's rule: the reply to a retransmission a timeout triggered is
+   ambiguous, so it must not be sampled. Stop-and-wait sends one data packet
+   per exchange and samples at most once per send that no timeout preceded,
+   so samples can never exceed the data packets sent minus the timeouts. *)
+let test_karn_no_sample_after_timeout () =
+  List.iter
+    (fun seed ->
+      let rtt = Protocol.Rtt.create ~initial_ns:20_000_000 () in
+      let result =
+        Simnet.Driver.run ~rtt
+          ~network_error:(Netmodel.Error_model.iid (Stats.Rng.create ~seed) ~loss:0.2)
+          ~suite:Protocol.Suite.Stop_and_wait
+          ~config:
+            (Protocol.Config.make ~total_packets:32
+               ~tuning:(Protocol.Tuning.fixed ~retransmit_ns:20_000_000 ~max_attempts:100 ())
+               ())
+          ()
+      in
+      let sender = result.Simnet.Driver.sender in
+      Alcotest.(check bool) (Printf.sprintf "seed %d: success" seed) true
+        (result.Simnet.Driver.outcome = Protocol.Action.Success);
+      Alcotest.(check bool) (Printf.sprintf "seed %d: some timeouts" seed) true
+        (sender.Protocol.Counters.timeouts > 0);
+      let bound = sender.Protocol.Counters.data_sent - sender.Protocol.Counters.timeouts in
+      if Protocol.Rtt.samples rtt > bound then
+        Alcotest.failf "seed %d: %d RTT samples, at most %d allowed (%d sent, %d timeouts)"
+          seed (Protocol.Rtt.samples rtt) bound sender.Protocol.Counters.data_sent
+          sender.Protocol.Counters.timeouts)
+    [ 1; 2; 3; 4; 5 ]
+
 (* ---------------------------------------------------------------- pacing *)
 
 let test_pacing_matches_closed_form () =
@@ -324,6 +354,8 @@ let () =
           Alcotest.test_case "all protocols at 2% loss" `Quick test_lossy_network_all_protocols;
           Alcotest.test_case "interface loss slows blast" `Quick test_interface_loss_slows_blast;
           Alcotest.test_case "total loss gives up" `Quick test_total_loss_gives_up;
+          Alcotest.test_case "Karn: no sample after a timeout" `Quick
+            test_karn_no_sample_after_timeout;
         ] );
       ( "pacing",
         [

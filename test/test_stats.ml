@@ -148,6 +148,194 @@ let test_derive_rejects_negative_index () =
     (Invalid_argument "Rng.derive: index must be non-negative") (fun () ->
       ignore (Stats.Rng.derive ~root:1 ~index:(-1)))
 
+(* Known answers: the generator that stored its state as a record of boxed
+   [int64] fields, copied verbatim as the reference. The unboxed state must
+   reproduce it draw for draw — every seeded journal depends on it. *)
+module Reference = struct
+  type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+
+  let splitmix64_next state =
+    let open Int64 in
+    state := add !state 0x9E3779B97F4A7C15L;
+    let z = !state in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    logxor z (shift_right_logical z 31)
+
+  let create ~seed =
+    let state = ref (Int64.of_int seed) in
+    let s0 = splitmix64_next state in
+    let s1 = splitmix64_next state in
+    let s2 = splitmix64_next state in
+    let s3 = splitmix64_next state in
+    { s0; s1; s2; s3 }
+
+  let derive ~root ~index =
+    if index < 0 then invalid_arg "Rng.derive: index must be non-negative";
+    let state = ref (Int64.of_int root) in
+    let mixed_root = splitmix64_next state in
+    let state = ref (Int64.logxor mixed_root (Int64.of_int index)) in
+    let state = ref (splitmix64_next state) in
+    let s0 = splitmix64_next state in
+    let s1 = splitmix64_next state in
+    let s2 = splitmix64_next state in
+    let s3 = splitmix64_next state in
+    { s0; s1; s2; s3 }
+
+  let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+  let bits64 t =
+    let open Int64 in
+    let result = mul (rotl (mul t.s1 5L) 7) 9L in
+    let tmp = shift_left t.s1 17 in
+    t.s2 <- logxor t.s2 t.s0;
+    t.s3 <- logxor t.s3 t.s1;
+    t.s1 <- logxor t.s1 t.s2;
+    t.s0 <- logxor t.s0 t.s3;
+    t.s2 <- logxor t.s2 tmp;
+    t.s3 <- rotl t.s3 45;
+    result
+
+  let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+
+  let split t =
+    let seed = Int64.to_int (bits64 t) land max_int in
+    create ~seed
+
+  let int t bound =
+    if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
+    let nonnegative = Int64.to_int (bits64 t) land max_int in
+    nonnegative mod bound
+
+  let float t =
+    let bits = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
+    bits *. (1.0 /. 9007199254740992.0)
+
+  let bernoulli t ~p =
+    if not (p >= 0.0 && p <= 1.0) then invalid_arg "Rng.bernoulli: p outside [0,1]";
+    float t < p
+
+  (* The payload generator the deterministic-simulation harness carried
+     before {!Stats.Rng.string} replaced it. *)
+  let payload_for rng bytes =
+    let buf = Bytes.create bytes in
+    let full = bytes / 8 in
+    for i = 0 to full - 1 do
+      Bytes.set_int64_le buf (i * 8) (bits64 rng)
+    done;
+    if bytes land 7 <> 0 then begin
+      let word = bits64 rng in
+      for i = full * 8 to bytes - 1 do
+        Bytes.set_uint8 buf i
+          (Int64.to_int (Int64.shift_right_logical word ((i land 7) * 8)) land 0xff)
+      done
+    end;
+    Bytes.unsafe_to_string buf
+end
+
+(* The three ways a stream starts, as (name, generator, reference) makers. *)
+let sources =
+  [
+    ("create", (fun () -> Stats.Rng.create ~seed:42), fun () -> Reference.create ~seed:42);
+    ( "derive",
+      (fun () -> Stats.Rng.derive ~root:1000 ~index:7),
+      fun () -> Reference.derive ~root:1000 ~index:7 );
+    ( "split",
+      (fun () -> Stats.Rng.split (Stats.Rng.create ~seed:9)),
+      fun () -> Reference.split (Reference.create ~seed:9) );
+  ]
+
+let test_rng_known_answers () =
+  let first_64 name testable draw reference =
+    List.iter
+      (fun (source, make, make_ref) ->
+        let rng = make () and ref_rng = make_ref () in
+        for i = 1 to 64 do
+          Alcotest.check testable
+            (Printf.sprintf "%s from %s, draw %d" name source i)
+            (reference ref_rng) (draw rng)
+        done)
+      sources
+  in
+  first_64 "bits64" Alcotest.int64 Stats.Rng.bits64 Reference.bits64;
+  first_64 "int" Alcotest.int (fun r -> Stats.Rng.int r 1000) (fun r -> Reference.int r 1000);
+  first_64 "int max_int" Alcotest.int
+    (fun r -> Stats.Rng.int r max_int)
+    (fun r -> Reference.int r max_int);
+  first_64 "float" (Alcotest.float 0.0) Stats.Rng.float Reference.float;
+  first_64 "bernoulli" Alcotest.bool
+    (fun r -> Stats.Rng.bernoulli r ~p:0.3)
+    (fun r -> Reference.bernoulli r ~p:0.3)
+
+let test_rng_split_parent_known_answers () =
+  let parent = Stats.Rng.create ~seed:9 and ref_parent = Reference.create ~seed:9 in
+  ignore (Stats.Rng.split parent : Stats.Rng.t);
+  ignore (Reference.split ref_parent : Reference.t);
+  for i = 1 to 64 do
+    Alcotest.(check int64)
+      (Printf.sprintf "parent after split, draw %d" i)
+      (Reference.bits64 ref_parent) (Stats.Rng.bits64 parent)
+  done
+
+let test_rng_copy_known_answers () =
+  let rng = Stats.Rng.create ~seed:77 and ref_rng = Reference.create ~seed:77 in
+  for _ = 1 to 5 do
+    ignore (Stats.Rng.bits64 rng : int64);
+    ignore (Reference.bits64 ref_rng : int64)
+  done;
+  let dup = Stats.Rng.copy rng and ref_dup = Reference.copy ref_rng in
+  for i = 1 to 64 do
+    let expected = Reference.bits64 ref_dup in
+    Alcotest.(check int64) (Printf.sprintf "copy, draw %d" i) expected (Stats.Rng.bits64 dup);
+    Alcotest.(check int64)
+      (Printf.sprintf "original after copy, draw %d" i)
+      (Reference.bits64 ref_rng) (Stats.Rng.bits64 rng)
+  done
+
+let test_rng_string_known_answers () =
+  (* One stream through every length: equal bytes, and equal draws consumed. *)
+  let rng = Stats.Rng.derive ~root:5 ~index:3 and ref_rng = Reference.derive ~root:5 ~index:3 in
+  List.iter
+    (fun n ->
+      Alcotest.(check string)
+        (Printf.sprintf "string of %d bytes" n)
+        (Reference.payload_for ref_rng n) (Stats.Rng.string rng n))
+    [ 0; 1; 7; 8; 9; 1023; 1024; 1025 ];
+  Alcotest.(check int64) "stream position after the strings" (Reference.bits64 ref_rng)
+    (Stats.Rng.bits64 rng);
+  Alcotest.check_raises "negative length" (Invalid_argument "Rng.string: negative length")
+    (fun () -> ignore (Stats.Rng.string rng (-1)))
+
+(* A draw inside the module boxes nothing: 100k draws of the derived
+   generators plus one 64 KiB string allocate under 1 KiB of minor words
+   beyond their results — a boxed float per [float] draw; the string is
+   larger than a minor-heap block and goes straight to the major heap. The
+   boxed-record state allocated 168 bytes per draw. *)
+let test_rng_draws_allocate_nothing () =
+  let rng = Stats.Rng.create ~seed:21 in
+  let n = 100_000 in
+  let words_of f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let float_box = Obj.reachable_words (Obj.repr (Stats.Rng.float rng)) in
+  let ints = words_of (fun () -> for _ = 1 to n do ignore (Stats.Rng.int rng 1000 : int) done) in
+  let floats =
+    words_of (fun () -> for _ = 1 to n do ignore (Stats.Rng.float rng : float) done)
+    -. float_of_int (n * float_box)
+  in
+  let coins =
+    words_of (fun () -> for _ = 1 to n do ignore (Stats.Rng.bernoulli rng ~p:0.3 : bool) done)
+  in
+  let bulk = words_of (fun () -> ignore (Stats.Rng.string rng 65536 : string)) in
+  let beyond_bytes = (ints +. floats +. coins +. bulk) *. float_of_int (Sys.word_size / 8) in
+  if beyond_bytes >= 1024.0 then
+    Alcotest.failf
+      "draws allocated %.0f bytes of minor words beyond their results (words: int %.0f, \
+       float %.0f, bernoulli %.0f, string %.0f)"
+      beyond_bytes ints floats coins bulk
+
 (* -------------------------------------------------------------- Summary *)
 
 let test_summary_basic () =
@@ -273,6 +461,12 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
           Alcotest.test_case "copy" `Quick test_rng_copy;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
+          Alcotest.test_case "split parent known answers" `Quick
+            test_rng_split_parent_known_answers;
+          Alcotest.test_case "copy known answers" `Quick test_rng_copy_known_answers;
+          Alcotest.test_case "string known answers" `Quick test_rng_string_known_answers;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
           Alcotest.test_case "split decorrelates" `Quick test_rng_split_decorrelates;
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
