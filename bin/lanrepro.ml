@@ -951,34 +951,45 @@ let swarm_cmd =
 (* ------------------------------------------------- deterministic simulation *)
 
 let dst_cmd =
-  let run seed seeds churn fault_name senders transfers max_flows shards until_virtual_s
-      jobs tuning protocols journal_dir =
-    require_positive ~cmd:"dst" ~flag:"senders" senders;
-    require_positive ~cmd:"dst" ~flag:"transfers" transfers;
-    let churn =
-      match Dst.Harness.churn_of_string churn with
-      | Some c -> c
-      | None ->
-          Printf.eprintf "unknown churn scenario %S (known: %s)\n" churn
-            (String.concat ", " (List.map Dst.Harness.churn_name Dst.Harness.all_churns));
-          exit 2
+  let run seed seeds workload churn fault_name senders transfers max_flows shards
+      until_virtual_s jobs tuning protocols journal_dir ring =
+    require_positive ~cmd:"dst" ~flag:"seeds" seeds;
+    let base =
+      match workload with
+      | `Senders -> Dst.Harness.default_config ~seed
+      | `Ring -> { (Dst.Harness.ring_config ~seed) with Dst.Harness.workload = Ring ring }
     in
-    let faults = resolve_scenario (Some fault_name) in
-    let base = Dst.Harness.default_config ~seed in
+    let churn =
+      match churn with
+      | None -> base.Dst.Harness.churn
+      | Some name -> (
+          match Dst.Harness.churn_of_string name with
+          | Some c -> c
+          | None ->
+              Printf.eprintf "unknown churn scenario %S (known: %s)\n" name
+                (String.concat ", " (List.map Dst.Harness.churn_name Dst.Harness.all_churns));
+              exit 2)
+    in
     let cfg =
       {
         base with
         Dst.Harness.churn;
-        faults;
+        faults =
+          (if fault_name = None then base.Dst.Harness.faults else resolve_scenario fault_name);
         senders;
         transfers;
-        max_flows;
+        max_flows = Option.value max_flows ~default:base.Dst.Harness.max_flows;
         shards;
         horizon_ns = int_of_float (until_virtual_s *. 1e9);
         tuning = resolve_tuning ~default:base.Dst.Harness.tuning tuning;
         suites = (if protocols = [] then base.Dst.Harness.suites else protocols);
       }
     in
+    (match Dst.Harness.validate cfg with
+    | () -> ()
+    | exception Invalid_argument msg ->
+        prerr_endline msg;
+        exit 2);
     let seed_list = List.init seeds (fun i -> seed + i) in
     let started = Unix.gettimeofday () in
     let trials = Dst.Harness.run_seeds ?jobs cfg ~seeds:seed_list in
@@ -989,9 +1000,9 @@ let dst_cmd =
         trials
     in
     (* Each trial simulates its full horizon: the clock runs to the horizon
-       even when every sender resolves early (idle virtual time is free —
-       that is the point of discrete-event time). The active span is how much
-       of it contained traffic. *)
+       even when every participant resolves early (idle virtual time is free
+       — that is the point of discrete-event time). The active span is how
+       much of it contained traffic. *)
     let simulated_s = float_of_int (List.length trials) *. until_virtual_s in
     Printf.printf
       "%d trial(s): %.0f virtual s simulated (%.1f s active) in %.2f wall s (%.0f virtual \
@@ -1010,6 +1021,7 @@ let dst_cmd =
       failing;
     (* Any failing seed must replay bit-for-bit: re-run it and compare the
        journal fingerprints, and keep the journal for offline debugging. *)
+    let prefix = match workload with `Senders -> "dst" | `Ring -> "ring-dst" in
     let diverged = ref false in
     List.iter
       (fun (t : Dst.Harness.trial) ->
@@ -1018,7 +1030,9 @@ let dst_cmd =
         | None -> ()
         | Some dir ->
             let write name contents =
-              let file = Filename.concat dir (Printf.sprintf "dst-seed-%d.%s" seed name) in
+              let file =
+                Filename.concat dir (Printf.sprintf "%s-seed-%d.%s" prefix seed name)
+              in
               let oc = open_out file in
               output_string oc contents;
               close_out oc;
@@ -1037,46 +1051,68 @@ let dst_cmd =
     if !diverged then exit 2;
     if failing <> [] then exit 1
   in
+  let senders_only = "SENDER WORKLOAD OPTIONS" and ring_only = "RING WORKLOAD OPTIONS" in
   let seeds =
     Arg.(
       value & opt int 1
       & info [ "seeds" ] ~docv:"N" ~doc:"Sweep N consecutive seeds starting at --seed.")
   in
+  let workload =
+    Arg.(
+      value
+      & opt (enum [ ("senders", `Senders); ("ring", `Ring) ]) `Senders
+      & info [ "workload" ] ~docv:"NAME"
+          ~doc:
+            "$(b,senders): independent senders against one engine (or a sharded \
+             group). $(b,ring): a striped, replicated put across ring members, then \
+             surveys and read-repair.")
+  in
   let churn =
     Arg.(
-      value & opt string "mixed"
+      value
+      & opt (some string) None
       & info [ "scenario" ] ~docv:"NAME"
           ~doc:
-            "Churn scenario: steady (none), kill (senders die mid-transfer), reuse \
-             (killed senders' ports rebound with colliding transfer ids), restart \
-             (engine stop/restart with lingering flows), or mixed.")
+            "Churn scenario: steady (none), kill (senders die mid-transfer; in a ring, \
+             one member dies for good), reuse (killed senders' ports rebound with \
+             colliding transfer ids), restart (engine stop/restart with lingering \
+             flows), or mixed. The ring workload takes steady or kill. Default: mixed \
+             for senders, kill for a ring.")
   in
   let fault_name =
     Arg.(
-      value & opt string "chaos"
+      value
+      & opt (some string) None
       & info [ "faults" ] ~docv:"NAME"
-          ~doc:"Wire fault scenario applied per memnet endpoint (clean disables).")
+          ~doc:
+            "Wire fault scenario applied per memnet endpoint (clean disables). Default: \
+             chaos for senders, clean for a ring.")
   in
   let senders =
     Arg.(
       value & opt int 16
-      & info [ "senders" ] ~docv:"N" ~doc:"Concurrent simulated senders.")
+      & info [ "senders" ] ~docv:"N" ~docs:senders_only
+          ~doc:"Concurrent simulated senders.")
   in
   let transfers =
     Arg.(
       value & opt int 3
-      & info [ "transfers" ] ~docv:"N" ~doc:"Transfers each sender attempts.")
+      & info [ "transfers" ] ~docv:"N" ~docs:senders_only
+          ~doc:"Transfers each sender attempts.")
   in
   let max_flows =
     Arg.(
-      value & opt int 12
+      value
+      & opt (some int) None
       & info [ "max-flows" ] ~docv:"N"
-          ~doc:"Engine admission cap; below --senders exercises REJ under pressure.")
+          ~doc:
+            "Engine admission cap; below --senders exercises REJ under pressure. \
+             Default: 12 for senders, 64 per member for a ring.")
   in
   let shards =
     Arg.(
       value & opt int 1
-      & info [ "shards" ] ~docv:"N"
+      & info [ "shards" ] ~docv:"N" ~docs:senders_only
           ~doc:
             "Engine shard count: N engine processes as members of one memnet \
              REUSEPORT-style group, with datagrams steered by a pure seeded hash of \
@@ -1101,21 +1137,38 @@ let dst_cmd =
     Arg.(
       value
       & opt_all protocol_conv []
-      & info [ "p"; "protocol" ] ~docv:"PROTO"
+      & info [ "p"; "protocol" ] ~docv:"PROTO" ~docs:senders_only
           ~doc:
             "Protocol suite (repeatable, as for $(b,swarm)): transfer I of sender K \
              runs the (K + I)-th suite, cyclically. Default: blast:gbn.")
   in
+  let ring =
+    let d = Dst.Harness.default_ring in
+    let int name docv doc default =
+      Arg.(value & opt int default & info [ name ] ~docv ~docs:ring_only ~doc)
+    in
+    Term.(
+      const (fun servers stripes replicas quorum object_bytes ->
+          { Dst.Harness.servers; stripes; replicas; quorum; object_bytes })
+      $ int "servers" "N" "Ring members." d.servers
+      $ int "stripes" "N" "Stripes the object splits into." d.stripes
+      $ int "replicas" "R" "Replicas per stripe." d.replicas
+      $ int "quorum" "W" "Write quorum per stripe." d.quorum
+      $ int "bytes" "BYTES" "Object size." d.object_bytes)
+  in
   Cmd.v
     (Cmd.info "dst"
+       ~man:[ `S Manpage.s_options; `S senders_only; `S ring_only ]
        ~doc:
-         "Whole-system deterministic simulation: the concurrent server plus a sender \
-          swarm under virtual time with seeded faults and churn; every trial asserts \
-          verified-delivery-or-clean-failure and engine invariants, any failing seed \
-          replays bit-for-bit, and thousands of virtual seconds run per wall second")
+         "Whole-system deterministic simulation: engines plus a workload — a sender \
+          swarm, or a striped ring put with read-repair — under virtual time with \
+          seeded faults and churn; every trial asserts verified-delivery-or-clean-failure \
+          and engine invariants, any failing seed replays bit-for-bit, and thousands of \
+          virtual seconds run per wall second")
     Term.(
-      const run $ seed $ seeds $ churn $ fault_name $ senders $ transfers $ max_flows
-      $ shards $ until_virtual_s $ jobs $ tuning_flags $ protocols $ journal_dir)
+      const run $ seed $ seeds $ workload $ churn $ fault_name $ senders $ transfers
+      $ max_flows $ shards $ until_virtual_s $ jobs $ tuning_flags $ protocols $ journal_dir
+      $ ring)
 
 (* ------------------------------------------------------------ ring transfers *)
 
@@ -1357,110 +1410,6 @@ let ring_repair_cmd =
     Term.(
       const run $ ring_servers $ base_port $ dead $ ring_bytes $ ring_stripes
       $ ring_replicas $ ring_object_id $ seed $ jobs)
-
-let ring_dst_cmd =
-  let run seed seeds servers stripes replicas quorum fault_name no_kill object_bytes
-      until_virtual_s jobs journal_dir =
-    ring_validate ~servers ~stripes ~replicas ~quorum ~bytes:object_bytes;
-    let faults = resolve_scenario (Some fault_name) in
-    let base = Dst.Ring_sim.default_config ~seed in
-    let cfg =
-      {
-        base with
-        Dst.Ring_sim.servers;
-        stripes;
-        replicas;
-        quorum;
-        kill_one = not no_kill;
-        faults;
-        object_bytes;
-        horizon_ns = int_of_float (until_virtual_s *. 1e9);
-      }
-    in
-    let seed_list = List.init seeds (fun i -> seed + i) in
-    let started = Unix.gettimeofday () in
-    let trials = Dst.Ring_sim.run_seeds ?jobs cfg ~seeds:seed_list in
-    let wall_s = Unix.gettimeofday () -. started in
-    List.iter (fun t -> Format.printf "%a@." Dst.Ring_sim.pp_trial t) trials;
-    Printf.printf "%d trial(s) in %.2f wall s (%d jobs)\n" (List.length trials) wall_s
-      (effective_jobs jobs);
-    let failing = List.filter (fun t -> t.Dst.Ring_sim.violations <> []) trials in
-    List.iter
-      (fun (t : Dst.Ring_sim.trial) ->
-        List.iter
-          (fun v -> Printf.printf "seed %d: %s\n" t.Dst.Ring_sim.seed v)
-          t.Dst.Ring_sim.violations)
-      failing;
-    (* A failing seed must replay bit-for-bit; keep its journal for offline
-       debugging, exactly like the dst subcommand. *)
-    let diverged = ref false in
-    List.iter
-      (fun (t : Dst.Ring_sim.trial) ->
-        let seed = t.Dst.Ring_sim.seed in
-        (match journal_dir with
-        | None -> ()
-        | Some dir ->
-            let file = Filename.concat dir (Printf.sprintf "ring-dst-seed-%d.journal" seed) in
-            let oc = open_out file in
-            output_string oc t.Dst.Ring_sim.journal;
-            close_out oc;
-            Printf.printf "seed %d: journal written to %s\n" seed file);
-        let again = Dst.Ring_sim.run { cfg with Dst.Ring_sim.seed } in
-        let identical = again.Dst.Ring_sim.digest = t.Dst.Ring_sim.digest in
-        if not identical then diverged := true;
-        Printf.printf "seed %d: replay %s (digest %s)\n" seed
-          (if identical then "identical" else "DIVERGED")
-          t.Dst.Ring_sim.digest)
-      failing;
-    if !diverged then exit 2;
-    if failing <> [] then exit 1
-  in
-  let seeds =
-    Arg.(
-      value & opt int 1
-      & info [ "seeds" ] ~docv:"N" ~doc:"Sweep N consecutive seeds starting at --seed.")
-  in
-  let servers =
-    Arg.(value & opt int 5 & info [ "servers" ] ~docv:"N" ~doc:"Ring members.")
-  in
-  let replicas =
-    Arg.(value & opt int 3 & info [ "replicas" ] ~docv:"R" ~doc:"Replicas per stripe.")
-  in
-  let fault_name =
-    Arg.(
-      value & opt string "clean"
-      & info [ "faults" ] ~docv:"NAME"
-          ~doc:"Wire fault scenario applied per memnet endpoint (clean disables).")
-  in
-  let no_kill =
-    Arg.(value & flag & info [ "no-kill" ] ~doc:"Skip the mid-transfer server kill.")
-  in
-  let object_bytes =
-    Arg.(value & opt int 65536 & info [ "bytes" ] ~docv:"BYTES" ~doc:"Object size.")
-  in
-  let until_virtual_s =
-    Arg.(
-      value & opt float 60.0
-      & info [ "until-virtual-s" ] ~docv:"SECONDS"
-          ~doc:"Virtual-time budget per trial (the hang backstop).")
-  in
-  let journal_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal-dir" ] ~docv:"DIR"
-          ~doc:"Write each failing seed's event journal to DIR (CI artifact hook).")
-  in
-  Cmd.v
-    (Cmd.info "ring-dst"
-       ~doc:
-         "Deterministic simulation of a ring transfer: N engines under virtual time, a \
-          striped replicated put with one server killed mid-transfer, then read-repair; \
-          every trial asserts the write quorum survives the death and repair restores \
-          full replication, and any failing seed replays bit-for-bit")
-    Term.(
-      const run $ seed $ seeds $ servers $ ring_stripes $ replicas $ ring_quorum
-      $ fault_name $ no_kill $ object_bytes $ until_virtual_s $ jobs $ journal_dir)
 
 (* --------------------------------------------------------- live stats plane *)
 
@@ -1711,7 +1660,6 @@ let () =
             dst_cmd;
             ring_put_cmd;
             ring_repair_cmd;
-            ring_dst_cmd;
             stat_cmd;
             top_cmd;
           ]))

@@ -1,6 +1,7 @@
 module Sim = Eventsim.Sim
 module Proc = Eventsim.Proc
 module Time = Eventsim.Time
+module Mailbox = Eventsim.Mailbox
 module Net = Memnet.Net
 
 let log = Logs.Src.create "dst.harness" ~doc:"whole-system deterministic simulation"
@@ -19,6 +20,16 @@ let churn_name = function
 let all_churns = [ Steady; Kill; Reuse; Restart; Mixed ]
 let churn_of_string s = List.find_opt (fun c -> churn_name c = s) all_churns
 
+type ring = {
+  servers : int;
+  stripes : int;
+  replicas : int;
+  quorum : int;
+  object_bytes : int;
+}
+
+type workload = Senders | Ring of ring
+
 type config = {
   seed : int;
   churn : churn;
@@ -36,6 +47,7 @@ type config = {
   suites : Protocol.Suite.t list;
   latency_ns : int;
   horizon_ns : int;
+  workload : workload;
 }
 
 let default_suites = [ Protocol.Suite.Blast Protocol.Blast.Go_back_n ]
@@ -58,7 +70,58 @@ let default_config ~seed =
     suites = default_suites;
     latency_ns = 50_000;
     horizon_ns = 60_000_000_000;
+    workload = Senders;
   }
+
+let default_ring =
+  { servers = 5; stripes = 8; replicas = 3; quorum = 2; object_bytes = 64 * 1024 }
+
+let ring_config ~seed =
+  {
+    (default_config ~seed) with
+    workload = Ring default_ring;
+    churn = Kill;
+    faults = None;
+    max_flows = 64;
+  }
+
+let validate cfg =
+  let require ok what = if not ok then invalid_arg ("Dst: " ^ what) in
+  require (cfg.horizon_ns > 0) "horizon must be positive";
+  require (cfg.shards > 0) "shards must be positive";
+  require (cfg.max_flows >= 0) "max_flows must not be negative";
+  match cfg.workload with
+  | Senders ->
+      require (cfg.senders > 0) "senders must be positive";
+      require (cfg.transfers > 0) "transfers must be positive";
+      require
+        (cfg.bytes_min > 0 && cfg.bytes_max >= cfg.bytes_min)
+        "bad transfer size range";
+      require (cfg.suites <> []) "suites must not be empty"
+  | Ring r ->
+      require (cfg.shards = 1) "the ring workload runs one engine per member (shards = 1)";
+      require
+        (cfg.churn = Steady || cfg.churn = Kill)
+        "the ring workload takes steady or kill churn";
+      require (r.servers >= 2) "ring needs at least 2 servers";
+      require (r.stripes > 0) "ring stripes must be positive";
+      require
+        (0 < r.replicas && r.replicas <= r.servers)
+        "ring needs 0 < replicas <= servers";
+      require (0 < r.quorum && r.quorum <= r.replicas) "ring needs 0 < quorum <= replicas";
+      require
+        (cfg.churn <> Kill || r.quorum <= r.replicas - 1)
+        "ring quorum must survive one death (quorum <= replicas - 1)";
+      require (r.object_bytes >= r.stripes) "ring object has fewer bytes than stripes"
+
+type ring_verdict = {
+  killed_member : int option;
+  put_blasts : int;
+  quorum_met : bool;
+  repair_actions : int;
+  repair_rounds : int;
+  fully_replicated : bool;
+}
 
 type trial = {
   seed : int;
@@ -82,6 +145,7 @@ type trial = {
       (** per-flow lifecycle export (JSONL), virtual-time stamped — the
           byte-comparable replay artifact *)
   flight : string;  (** engine flight-ring JSONL; [""] unless the trial failed *)
+  ring : ring_verdict option;
 }
 
 (* One participant — an initial sender or a churn-spawned replacement. The
@@ -96,17 +160,24 @@ type slot = {
   mutable terminal : bool;
 }
 
+(* The ring workload's progress: the client and the killer write it, the
+   survey reads [dead], the trailer reads the rest. *)
+type ring_state = {
+  dead : bool array;
+  mutable verdict : ring_verdict;
+  mutable client_done : bool;
+}
+
 type harness = {
   cfg : config;
   sim : Sim.t;
   net : Net.t;
   journal : Buffer.t;
-  flowtrace : Obs.Flowtrace.t;  (** shared across engine incarnations *)
+  flowtrace : Obs.Flowtrace.t;  (** shared across engines and their incarnations *)
   recorder : Obs.Recorder.t;  (** engine flight ring, virtual-time stamped *)
   violations : string list ref;
   engines : Server.Engine.t option array;
-      (** current incarnation per shard, [None] mid-outage; length
-          [cfg.shards] (1 = the classic single engine) *)
+      (** current incarnation per shard or ring member, [None] while down *)
   slots : slot list ref;  (** insertion order — the churn picker's stable index *)
   remaining : int ref;  (** non-terminal participants *)
   shutdown : bool ref;  (** final stop requested; no restarts past this *)
@@ -124,6 +195,10 @@ type harness = {
 }
 
 let server_port = 9_000
+let ring_base_port = 9_100
+let object_id = 77
+let ring_vnodes = 32
+let is_ring h = match h.cfg.workload with Ring _ -> true | Senders -> false
 
 let now_ns h = Time.to_ns (Sim.now h.sim)
 
@@ -155,10 +230,11 @@ let worst_case_ns cfg =
   (2 * max_attempts * retransmit_ns) + (3 * retransmit_ns) + 2_000_000_000
 
 let clock_of h () = now_ns h
+let packets_of h bytes = (bytes + h.cfg.packet_bytes - 1) / h.cfg.packet_bytes
 
-let all_done h =
+let stop_all h reason =
   h.shutdown := true;
-  line h "all senders resolved; stopping engine";
+  line h "%s" reason;
   Array.iter (function Some e -> Server.Engine.stop e | None -> ()) h.engines
 
 let finish h slot =
@@ -166,64 +242,78 @@ let finish h slot =
     slot.terminal <- true;
     slot.active_id <- 0;
     decr h.remaining;
-    if !(h.remaining) = 0 then all_done h
+    if !(h.remaining) = 0 then stop_all h "all senders resolved; stopping engine"
   end
 
 (* ----------------------------------------------------------- server side *)
 
-let on_complete h (e : Server.Engine.completion_event) =
+(* Tags for journal lines and lanes: a single-shard run keeps the classic,
+   untagged journal shape; a ring member is named by its index. *)
+let engine_tag h index =
+  match h.cfg.workload with
+  | Ring _ -> Printf.sprintf "server %d" index
+  | Senders -> if h.cfg.shards = 1 then "engine" else Printf.sprintf "engine s%d" index
+
+let on_complete h index (e : Server.Engine.completion_event) =
   let c = e.Server.Engine.completion in
   let peer_port = port_of e.Server.Engine.peer in
   Option.iter (violation h) (Server.Ledger.served h.ledger ~peer:e.Server.Engine.peer c);
-  line h "server settle peer=%d id=%d outcome=%s bytes=%d" peer_port
-    c.Sockets.Flow.transfer_id (outcome_str c.Sockets.Flow.outcome)
+  line h "%s settle peer=%d id=%d outcome=%s bytes=%d"
+    (if is_ring h then engine_tag h index else "server")
+    peer_port c.Sockets.Flow.transfer_id (outcome_str c.Sockets.Flow.outcome)
     (String.length c.Sockets.Flow.data)
 
-(* Tags for journal lines and lanes: a single-shard run keeps the classic,
-   untagged journal shape. *)
-let engine_tag h index = if h.cfg.shards = 1 then "engine" else Printf.sprintf "engine s%d" index
-
+(* One engine slot. A sender-workload engine restarts after churn stops it;
+   a ring member that stops stays down — killed for good, and the repair
+   pass re-homes its stripes. *)
 let engine_proc h index () =
-  let bind () =
-    if h.cfg.shards = 1 then Net.bind ~port:server_port h.net
-    else
-      (* Steering is memnet's default: {!Stats.Hash.steer} of the source
-         port under the network seed — the kernel's REUSEPORT 4-tuple hash
-         made explicit, shared with ring placement. *)
-      Net.bind_shard h.net ~port:server_port ~shards:h.cfg.shards ~index
+  let tag = engine_tag h index in
+  let bind, lane_prefix =
+    match h.cfg.workload with
+    | Ring _ ->
+        ((fun () -> Net.bind ~port:(ring_base_port + index) h.net), Printf.sprintf "r%d:" index)
+    | Senders when h.cfg.shards = 1 -> ((fun () -> Net.bind ~port:server_port h.net), "")
+    | Senders ->
+        (* Steering is memnet's default: {!Stats.Hash.steer} of the source
+           port under the network seed — the kernel's REUSEPORT 4-tuple
+           hash made explicit, shared with ring placement. *)
+        ( (fun () -> Net.bind_shard h.net ~port:server_port ~shards:h.cfg.shards ~index),
+          Printf.sprintf "s%d:" index )
   in
   let rec incarnation gen =
     let ep = bind () in
-    let transport = Net.transport ep in
     let engine =
       Server.Engine.create ~max_flows:h.cfg.max_flows
         ~ctx:
           (Sockets.Io_ctx.make ~clock:(clock_of h) ~recorder:h.recorder
              ~tuning:h.cfg.tuning ())
-        ~on_complete:(on_complete h) ~flowtrace:h.flowtrace ~trace_epoch:gen
-        ~lane_prefix:(if h.cfg.shards = 1 then "" else Printf.sprintf "s%d:" index)
-        ~transport ()
+        ~on_complete:(on_complete h index) ~flowtrace:h.flowtrace ~trace_epoch:gen
+        ~lane_prefix ~transport:(Net.transport ep) ()
     in
     h.engines.(index) <- Some engine;
-    line h "%s up gen=%d" (engine_tag h index) gen;
+    if is_ring h then line h "%s up port=%d" tag (Net.port ep)
+    else line h "%s up gen=%d" tag gen;
     (try Server.Engine.run engine
      with exn ->
        violation h
-         (Printf.sprintf "%s gen %d raised %s" (engine_tag h index) gen
+         (Printf.sprintf "%s%s raised %s" tag
+            (if is_ring h then "" else Printf.sprintf " gen %d" gen)
             (Printexc.to_string exn)));
     h.engines.(index) <- None;
     let t = Server.Engine.totals engine in
     h.server_completed <- h.server_completed + t.Server.Engine.completed;
     h.server_aborted <- h.server_aborted + t.Server.Engine.aborted;
     h.superseded <- h.superseded + t.Server.Engine.superseded;
-    line h "%s down gen=%d %s" (engine_tag h index) gen
-      (Format.asprintf "%a" Server.Engine.pp_totals t);
+    let totals = Format.asprintf "%a" Server.Engine.pp_totals t in
+    if is_ring h then
+      line h "%s down manifest=%d %s" tag (Server.Engine.manifest_size engine) totals
+    else line h "%s down gen=%d %s" tag gen totals;
     Net.close ep;
     (* An outage window before the same port comes back: mid-transfer
        senders blast into the void, then into a server that has never heard
        of their flows. Re-checked after the sleep — a shutdown during the
        outage must not resurrect the engine. *)
-    if not !(h.shutdown) then begin
+    if (not (is_ring h)) && not !(h.shutdown) then begin
       h.restarts <- h.restarts + 1;
       Proc.sleep (Time.span_ns 200_000_000);
       if not !(h.shutdown) then incarnation (gen + 1)
@@ -236,8 +326,6 @@ let engine_proc h index () =
 let server_address = Unix.ADDR_INET (Unix.inet_addr_loopback, server_port)
 
 let range rng lo hi = if hi <= lo then lo else lo + Stats.Rng.int rng (hi - lo + 1)
-
-let packets_of h bytes = (bytes + h.cfg.packet_bytes - 1) / h.cfg.packet_bytes
 
 (* One transfer through the real sender path over the simulated wire.
    [avoid_total] (a packet count) is for churn replacements: on a reused
@@ -434,17 +522,253 @@ let churn_controller h =
          tick
         : Sim.handle)
 
+(* ------------------------------------------------------------------ ring *)
+
+let ring_address server = Unix.ADDR_INET (Unix.inet_addr_loopback, ring_base_port + server)
+
+(* One stripe replica as its own simulated process on its own ephemeral
+   endpoint — the DST mirror of Ring.Client.blast, recorded in the ledger
+   under its stripe's CRC. *)
+let blast_proc h r ~data ~crcs ~results (job : Ring.Client.job) () =
+  let ep = Net.bind h.net in
+  let stripe =
+    { Packet.Stripe.object_id; index = job.Ring.Client.stripe; count = r.stripes }
+  in
+  let result =
+    Sockets.Peer.send_via
+      ~ctx:(Sockets.Io_ctx.make ~clock:(clock_of h) ~tuning:h.cfg.tuning ())
+      ~transfer_id:object_id ~packet_bytes:h.cfg.packet_bytes ~stripe
+      ~transport:(Net.transport ep) ~peer:(ring_address job.Ring.Client.server)
+      ~suite:(Protocol.Suite.Blast Protocol.Blast.Go_back_n)
+      ~data:(String.sub data job.Ring.Client.offset job.Ring.Client.bytes)
+      ()
+  in
+  line h "blast stripe=%d replica=%d server=%d outcome=%s" job.Ring.Client.stripe
+    job.Ring.Client.replica job.Ring.Client.server
+    (outcome_str result.Sockets.Peer.outcome);
+  Option.iter (violation h)
+    (Server.Ledger.sent h.ledger ~peer:(Net.address ep) ~transfer_id:object_id
+       ~crc:crcs.(job.Ring.Client.stripe)
+       ~max_attempts:(Protocol.Tuning.max_attempts h.cfg.tuning)
+       ~packets:(packets_of h job.Ring.Client.bytes) result);
+  Net.close ep;
+  ignore (Mailbox.try_put results (job, result.Sockets.Peer.outcome))
+
+(* Every job in parallel; each outcome with its job, in completion order,
+   counted into the trial's attempted / completed / failed. *)
+let run_blasts h r ~data ~crcs jobs =
+  let results : (Ring.Client.job * Protocol.Action.outcome) Mailbox.t =
+    Mailbox.create ~capacity:max_int
+  in
+  List.iter
+    (fun job -> Proc.spawn (Proc.env h.sim) (blast_proc h r ~data ~crcs ~results job))
+    jobs;
+  let results = List.map (fun _ -> Mailbox.get results) jobs in
+  List.iter
+    (fun (_, outcome) ->
+      h.attempted <- h.attempted + 1;
+      if outcome = Protocol.Action.Success then h.completed <- h.completed + 1
+      else h.failed <- h.failed + 1)
+    results;
+  results
+
+(* Survey every live member over the wire — a fresh endpoint per query so a
+   straggling reply from one server can never be read as another's. Returns
+   the folded manifest plus the live members whose exchange never completed
+   (under a hostile wire the survey itself is lossy): a partial survey can
+   drive repair — re-blasting a held stripe is idempotent — but must never
+   ground a quorum verdict against anyone. *)
+let survey h r st =
+  let manifest = Ring.Manifest.create ~object_id ~stripes:r.stripes in
+  let answered = Array.make r.servers false in
+  let remaining () =
+    List.init r.servers Fun.id
+    |> List.filter (fun s -> (not st.dead.(s)) && not answered.(s))
+  in
+  (* Up to three passes over the silent members: a single MREQ/MREP
+     exchange can lose every attempt against a perfectly live server, so
+     the survey retries before calling anyone unresponsive. *)
+  let pass = ref 0 in
+  while !pass < 3 && remaining () <> [] do
+    incr pass;
+    List.iter
+      (fun server ->
+        let ep = Net.bind h.net in
+        (match
+           Ring.Repair.query_via ~attempts:5
+             ~timeout_ns:(4 * Protocol.Tuning.retransmit_ns h.cfg.tuning)
+             ~clock:(clock_of h) ~transport:(Net.transport ep) ~peer:(ring_address server)
+             ~object_id ()
+         with
+        | Some entries ->
+            answered.(server) <- true;
+            Ring.Manifest.record manifest ~server entries;
+            line h "survey server=%d entries=%d" server (List.length entries)
+        | None -> line h "survey server=%d unresponsive (pass %d)" server !pass);
+        Net.close ep)
+      (remaining ())
+  done;
+  (manifest, remaining ())
+
+let ints_str l = String.concat "," (List.map string_of_int l)
+let replication_str counts = ints_str (Array.to_list counts)
+
+(* The put, the kill, the surveys and the repair rounds: one client process
+   whose verdicts land in [st]. *)
+let ring_client h r st () =
+  let cfg = h.cfg in
+  let rng = Stats.Rng.derive ~root:cfg.seed ~index:42 in
+  (* Let every server come up before the fan-out. *)
+  Proc.sleep (Time.span_ns 5_000_000);
+  let data = Stats.Rng.string rng r.object_bytes in
+  let crcs = Ring.Client.stripe_crcs ~data ~stripes:r.stripes in
+  let placement =
+    Ring.Placement.create ~vnodes:ring_vnodes ~seed:cfg.seed (List.init r.servers Fun.id)
+  in
+  let jobs =
+    Ring.Client.plan placement ~object_id ~total:r.object_bytes ~stripes:r.stripes
+      ~replicas:r.replicas
+  in
+  st.verdict <- { st.verdict with put_blasts = List.length jobs };
+  line h "put start object=%d bytes=%d stripes=%d replicas=%d quorum=%d jobs=%d" object_id
+    r.object_bytes r.stripes r.replicas r.quorum (List.length jobs);
+  (* The kill lands while the fan-out is in flight: one member of the ring
+     goes dark mid-transfer, for good. *)
+  if cfg.churn = Kill then begin
+    let victim = Stats.Rng.int rng r.servers in
+    (* A clean fan-out settles within a couple of milliseconds of virtual
+       time, so the kill must land inside the first one to be genuinely
+       mid-transfer. *)
+    let delay_ns = 100_000 + Stats.Rng.int rng 500_000 in
+    Proc.spawn (Proc.env h.sim) ~name:"killer" (fun () ->
+        Proc.sleep (Time.span_ns delay_ns);
+        match h.engines.(victim) with
+        | Some engine when not st.dead.(victim) ->
+            st.dead.(victim) <- true;
+            st.verdict <- { st.verdict with killed_member = Some victim };
+            h.killed <- h.killed + 1;
+            line h "churn kill server=%d" victim;
+            Server.Engine.stop engine
+        | _ -> ())
+  end;
+  let results = run_blasts h r ~data ~crcs jobs in
+  line h "put end ok=%d failed=%d" h.completed h.failed;
+  (* The verdict comes from the ring's own answers, not from the blasts'
+     view of themselves. The invariant is no {e false durability claim}:
+     whenever the put's own outcomes reached the quorum (per stripe,
+     [Success] >= W), the survey must confirm it. The converse is allowed —
+     under a hostile enough wire a blast at a {e live} server can exhaust
+     its attempts and fail cleanly, and then the put itself already
+     reported the object not durable. Successes on the killed server do
+     not count toward the claim: a replica may land there before the kill,
+     and dies with it — which is precisely the gap repair exists to
+     close, not a lie anyone told. *)
+  let claimed = Array.make r.stripes 0 in
+  List.iter
+    (fun ((job : Ring.Client.job), outcome) ->
+      if outcome = Protocol.Action.Success && not st.dead.(job.Ring.Client.server) then
+        claimed.(job.Ring.Client.stripe) <- claimed.(job.Ring.Client.stripe) + 1)
+    results;
+  let put_claimed_quorum = Array.for_all (fun c -> c >= r.quorum) claimed in
+  let manifest, unanswered = survey h r st in
+  let counts = Ring.Manifest.replication manifest ~crcs in
+  line h "replication before repair [%s]" (replication_str counts);
+  let quorum_met = Ring.Manifest.quorum_met manifest ~quorum:r.quorum ~crcs in
+  st.verdict <- { st.verdict with quorum_met };
+  if not quorum_met then begin
+    line h "write quorum unmet before repair (put claimed it: %b)" put_claimed_quorum;
+    if put_claimed_quorum then
+      if unanswered = [] then
+        violation h
+          (Printf.sprintf
+             "false durability claim: put reached quorum but the survey says [%s]"
+             (replication_str counts))
+      else
+        line h "survey partial (unanswered [%s]); quorum verdict skipped"
+          (ints_str unanswered)
+  end;
+  (* Read-repair on the live ring, to convergence (bounded rounds). *)
+  let live = List.init r.servers Fun.id |> List.filter (fun i -> not st.dead.(i)) in
+  let live_placement = Ring.Placement.create ~vnodes:ring_vnodes ~seed:cfg.seed live in
+  let target_replicas = min r.replicas (List.length live) in
+  let rec repair_rounds round (manifest, unanswered) =
+    let actions =
+      Ring.Repair.plan ~placement:live_placement ~object_id ~replicas:target_replicas ~crcs
+        manifest
+    in
+    if actions = [] then (manifest, unanswered)
+    else if round > 3 then begin
+      if unanswered = [] then
+        violation h
+          (Printf.sprintf "repair did not converge after 3 rounds (%d actions left)"
+             (List.length actions))
+      else
+        line h "repair rounds exhausted on a partial survey (unanswered [%s])"
+          (ints_str unanswered);
+      (manifest, unanswered)
+    end
+    else begin
+      st.verdict <-
+        {
+          st.verdict with
+          repair_rounds = round;
+          repair_actions = st.verdict.repair_actions + List.length actions;
+        };
+      List.iter
+        (fun a -> line h "repair %s" (Format.asprintf "%a" Ring.Repair.pp_action a))
+        actions;
+      let jobs =
+        List.map
+          (fun (a : Ring.Repair.action) ->
+            let offset, bytes =
+              Ring.Client.stripe_bounds ~total:r.object_bytes ~stripes:r.stripes
+                ~index:a.Ring.Repair.stripe
+            in
+            {
+              Ring.Client.stripe = a.Ring.Repair.stripe;
+              replica = -1;
+              server = a.Ring.Repair.server;
+              offset;
+              bytes;
+            })
+          actions
+      in
+      ignore (run_blasts h r ~data ~crcs jobs);
+      repair_rounds (round + 1) (survey h r st)
+    end
+  in
+  let manifest, unanswered = repair_rounds 1 (manifest, unanswered) in
+  let counts = Ring.Manifest.replication manifest ~crcs in
+  line h "replication after repair [%s]" (replication_str counts);
+  let fully_replicated = Array.for_all (fun n -> n >= target_replicas) counts in
+  st.verdict <- { st.verdict with fully_replicated };
+  if not fully_replicated then
+    if unanswered = [] then
+      violation h
+        (Printf.sprintf "repair left the object under-replicated: [%s] (target %d)"
+           (replication_str counts) target_replicas)
+    else
+      line h "under-replication verdict skipped: survey partial (unanswered [%s])"
+        (ints_str unanswered);
+  st.client_done <- true;
+  stop_all h "client done; stopping ring"
+
+(* ------------------------------------------------------------ invariants *)
+
+let check_engines h ~what =
+  Array.iteri
+    (fun index e ->
+      match e with
+      | Some engine ->
+          List.iter
+            (fun v -> violation h (Printf.sprintf "%s %s: %s" (engine_tag h index) what v))
+            (Server.Engine.invariant_violations engine)
+      | None -> ())
+    h.engines
+
 let invariant_watch h =
   let rec tick () =
-    Array.iteri
-      (fun index e ->
-        match e with
-        | Some engine ->
-            List.iter
-              (fun v -> violation h (engine_tag h index ^ " invariant: " ^ v))
-              (Server.Engine.invariant_violations engine)
-        | None -> ())
-      h.engines;
+    check_engines h ~what:"invariant";
     if not !(h.shutdown) then
       ignore (Sim.schedule_after h.sim (Time.span_ns 25_000_000) tick : Sim.handle)
   in
@@ -453,15 +777,10 @@ let invariant_watch h =
 (* ------------------------------------------------------------------ trial *)
 
 let run cfg =
-  if cfg.senders <= 0 then invalid_arg "Dst: senders must be positive";
-  if cfg.transfers <= 0 then invalid_arg "Dst: transfers must be positive";
-  if cfg.bytes_min <= 0 || cfg.bytes_max < cfg.bytes_min then
-    invalid_arg "Dst: bad transfer size range";
-  if cfg.horizon_ns <= 0 then invalid_arg "Dst: horizon must be positive";
-  if cfg.shards <= 0 then invalid_arg "Dst: shards must be positive";
-  if cfg.suites = [] then invalid_arg "Dst: suites must not be empty";
+  validate cfg;
   let sim = Sim.create () in
   let net = Net.create ~sim ~latency_ns:cfg.latency_ns ?scenario:cfg.faults ~seed:cfg.seed () in
+  let engine_count = match cfg.workload with Senders -> cfg.shards | Ring r -> r.servers in
   let h =
     {
       cfg;
@@ -471,7 +790,7 @@ let run cfg =
       flowtrace = Obs.Flowtrace.create ();
       recorder = Obs.Recorder.create ();
       violations = ref [];
-      engines = Array.make cfg.shards None;
+      engines = Array.make engine_count None;
       slots = ref [];
       remaining = ref 0;
       shutdown = ref false;
@@ -488,63 +807,90 @@ let run cfg =
       server_aborted = 0;
     }
   in
-  line h
-    "dst seed=%d churn=%s faults=%s senders=%d transfers=%d max_flows=%d shards=%d tuning=%s%s"
-    cfg.seed (churn_name cfg.churn)
-    (match cfg.faults with Some s -> Faults.Scenario.name s | None -> "clean")
-    cfg.senders cfg.transfers cfg.max_flows cfg.shards
-    (Protocol.Tuning.to_string cfg.tuning)
-    (* Like [engine_tag]: the default keeps the classic header. *)
-    (if cfg.suites = default_suites then ""
-     else " suites=" ^ String.concat "," (List.map Protocol.Suite.name cfg.suites));
+  let fault_name =
+    match cfg.faults with Some s -> Faults.Scenario.name s | None -> "clean"
+  in
+  (match cfg.workload with
+  | Senders ->
+      line h
+        "dst seed=%d churn=%s faults=%s senders=%d transfers=%d max_flows=%d shards=%d \
+         tuning=%s%s"
+        cfg.seed (churn_name cfg.churn) fault_name cfg.senders cfg.transfers cfg.max_flows
+        cfg.shards
+        (Protocol.Tuning.to_string cfg.tuning)
+        (* Like [engine_tag]: the default keeps the classic header. *)
+        (if cfg.suites = default_suites then ""
+         else " suites=" ^ String.concat "," (List.map Protocol.Suite.name cfg.suites))
+  | Ring r ->
+      line h "ring seed=%d servers=%d stripes=%d replicas=%d quorum=%d kill=%b faults=%s"
+        cfg.seed r.servers r.stripes r.replicas r.quorum (cfg.churn = Kill) fault_name);
   let env = Proc.env sim in
-  for index = 0 to cfg.shards - 1 do
-    Proc.spawn env
-      ~name:(if cfg.shards = 1 then "engine" else Printf.sprintf "engine-s%d" index)
-      (engine_proc h index)
+  for index = 0 to engine_count - 1 do
+    Proc.spawn env (engine_proc h index)
   done;
-  for index = 0 to cfg.senders - 1 do
-    let _slot, body =
-      spawn_slot h (Printf.sprintf "sender%d" index) (fun slot -> sender_proc h slot index)
-    in
-    Proc.spawn env ~name:(Printf.sprintf "sender%d" index) body
-  done;
-  churn_controller h;
+  let ring =
+    match cfg.workload with
+    | Senders ->
+        for index = 0 to cfg.senders - 1 do
+          let _slot, body =
+            spawn_slot h (Printf.sprintf "sender%d" index) (fun slot -> sender_proc h slot index)
+          in
+          Proc.spawn env ~name:(Printf.sprintf "sender%d" index) body
+        done;
+        churn_controller h;
+        None
+    | Ring r ->
+        let st =
+          {
+            dead = Array.make r.servers false;
+            verdict =
+              {
+                killed_member = None;
+                put_blasts = 0;
+                quorum_met = false;
+                repair_actions = 0;
+                repair_rounds = 0;
+                fully_replicated = false;
+              };
+            client_done = false;
+          }
+        in
+        Proc.spawn env ~name:"client" (ring_client h r st);
+        Some st
+  in
   invariant_watch h;
   Sim.run ~until:(Time.of_ns cfg.horizon_ns) sim;
   (* [Sim.run ~until] leaves the clock at the horizon even when the queue
      drained early; the last journal line marks when activity actually
-     stopped, which is the honest numerator for virtual-time throughput. *)
+     stopped, which is the honest numerator for virtual-time throughput.
+     Read it before the trailer below, which is stamped at the horizon. *)
   let active_ns = h.last_activity_ns in
   let virtual_ns = now_ns h in
-  (* Hang detection: an unresolved sender is a violation if the queue went
-     quiet (a lost wake-up) or its transfer overran the worst-case bound. *)
-  if !(h.remaining) > 0 then begin
-    if Sim.pending sim = 0 then
-      violation h
-        (Printf.sprintf "event queue drained with %d senders unresolved (lost wake-up)"
-           !(h.remaining));
-    List.iter
-      (fun s ->
-        if (not s.terminal) && s.active_id > 0
-           && virtual_ns - s.started_at > worst_case_ns cfg then
+  (match ring with
+  | Some st ->
+      if not st.client_done then
+        violation h "client did not finish within the virtual horizon"
+  | None ->
+      (* Hang detection: an unresolved sender is a violation if the queue
+         went quiet (a lost wake-up) or its transfer overran the worst-case
+         bound. *)
+      if !(h.remaining) > 0 then begin
+        if Sim.pending sim = 0 then
           violation h
-            (Printf.sprintf "%s hung: transfer %d unresolved for %d virtual ns" s.label
-               s.active_id (virtual_ns - s.started_at)))
-      !(h.slots)
-  end;
+            (Printf.sprintf "event queue drained with %d senders unresolved (lost wake-up)"
+               !(h.remaining));
+        List.iter
+          (fun s ->
+            if (not s.terminal) && s.active_id > 0
+               && virtual_ns - s.started_at > worst_case_ns cfg then
+              violation h
+                (Printf.sprintf "%s hung: transfer %d unresolved for %d virtual ns" s.label
+                   s.active_id (virtual_ns - s.started_at)))
+          !(h.slots)
+      end);
   List.iter (violation h) (Server.Ledger.unmatched h.ledger);
-  let any_engine_up = Array.exists Option.is_some h.engines in
-  Array.iteri
-    (fun index e ->
-      match e with
-      | Some engine ->
-          List.iter
-            (fun v -> violation h (engine_tag h index ^ " invariant at horizon: " ^ v))
-            (Server.Engine.invariant_violations engine)
-      | None -> ())
-    h.engines;
-  if not any_engine_up then
+  check_engines h ~what:"invariant at horizon";
+  if not (Array.exists Option.is_some h.engines) then
     (* Every engine wound down, so every admitted flow was settled: the
        lifecycle grammar must hold — exactly one terminal per flow, nothing
        recorded past it. (With an engine still up at the horizon live flows
@@ -555,18 +901,23 @@ let run cfg =
   let stats = Net.stats net in
   line h "net delivered=%d unbound=%d overrun=%d" stats.Net.delivered
     stats.Net.dropped_unbound stats.Net.dropped_overrun;
-  line h
-    "trial end attempted=%d completed=%d rejected=%d failed=%d killed=%d restarts=%d \
-     superseded=%d server=%d/%d"
-    h.attempted h.completed h.rejected h.failed h.killed h.restarts h.superseded
-    h.server_completed h.server_aborted;
+  (match ring with
+  | None ->
+      line h
+        "trial end attempted=%d completed=%d rejected=%d failed=%d killed=%d restarts=%d \
+         superseded=%d server=%d/%d"
+        h.attempted h.completed h.rejected h.failed h.killed h.restarts h.superseded
+        h.server_completed h.server_aborted
+  | Some { verdict = v; _ } ->
+      line h "trial end blasts=%d ok=%d failed=%d quorum=%b repaired=%b actions=%d"
+        v.put_blasts h.completed h.failed v.quorum_met v.fully_replicated v.repair_actions);
   let journal = Buffer.contents h.journal in
   let violations = List.rev !(h.violations) in
   let trial =
     {
       seed = cfg.seed;
       churn = cfg.churn;
-      fault_name = (match cfg.faults with Some s -> Faults.Scenario.name s | None -> "clean");
+      fault_name;
       attempted = h.attempted;
       completed = h.completed;
       rejected = h.rejected;
@@ -587,6 +938,7 @@ let run cfg =
            datagrams doing" next to the journal. *)
         (if violations = [] then ""
          else Obs.Export.jsonl_of_events (Obs.Recorder.events h.recorder));
+      ring = Option.map (fun st -> st.verdict) ring;
     }
   in
   Log.info (fun f ->
@@ -597,13 +949,28 @@ let run cfg =
 let run_seeds ?jobs cfg ~seeds =
   Exec.Pool.map ?jobs ~f:(fun seed -> run { cfg with seed }) seeds
 
-let pp_trial ppf t =
-  Format.fprintf ppf
-    "seed %d [%s/%s]: %d attempted, %d ok, %d rejected, %d failed, %d killed; restarts %d, \
-     superseded %d; server %d/%d; %d events over %.2f virtual s; %s"
-    t.seed (churn_name t.churn) t.fault_name t.attempted t.completed t.rejected t.failed
-    t.killed t.restarts t.superseded t.server_completed t.server_aborted t.events
-    (float_of_int t.virtual_ns /. 1e9)
-    (match t.violations with
+let pp_trial ppf (t : trial) =
+  let verdict =
+    match t.violations with
     | [] -> "no violations"
-    | vs -> Printf.sprintf "%d VIOLATIONS" (List.length vs))
+    | vs -> Printf.sprintf "%d VIOLATIONS" (List.length vs)
+  in
+  let span_s = float_of_int t.virtual_ns /. 1e9 in
+  match t.ring with
+  | None ->
+      Format.fprintf ppf
+        "seed %d [%s/%s]: %d attempted, %d ok, %d rejected, %d failed, %d killed; restarts \
+         %d, superseded %d; server %d/%d; %d events over %.2f virtual s; %s"
+        t.seed (churn_name t.churn) t.fault_name t.attempted t.completed t.rejected t.failed
+        t.killed t.restarts t.superseded t.server_completed t.server_aborted t.events span_s
+        verdict
+  | Some v ->
+      Format.fprintf ppf
+        "seed %d [%s]: %d blasts (%d ok, %d failed), killed %s, quorum %s, repair %d \
+         actions/%d rounds, %s; %d events over %.2f virtual s; %s"
+        t.seed t.fault_name v.put_blasts t.completed t.failed
+        (match v.killed_member with Some i -> string_of_int i | None -> "none")
+        (if v.quorum_met then "met" else "UNMET")
+        v.repair_actions v.repair_rounds
+        (if v.fully_replicated then "fully replicated" else "UNDER-REPLICATED")
+        t.events span_s verdict

@@ -49,10 +49,6 @@ let pp_report ppf r =
     r.aggregate_mbit_s lat.Obs.Hist.p50 lat.Obs.Hist.p90 lat.Obs.Hist.p99
     lat.Obs.Hist.max Engine.pp_totals r.server
 
-(* Deterministic per-sender payload: reproducible from (seed, index) alone,
-   byte-varied so misdelivery between flows cannot go unnoticed by the CRC. *)
-let payload_for rng bytes = String.init bytes (fun _ -> Char.chr (Stats.Rng.int rng 256))
-
 let run ?max_flows ?jobs ?(bytes = 64 * 1024) ?(packet_bytes = 1024)
     ?(tuning = Protocol.Tuning.fixed ~retransmit_ns:20_000_000 ()) ?idle_timeout_ns
     ?(suite = Protocol.Suite.Blast Protocol.Blast.Go_back_n) ?scenario ?server_scenario
@@ -86,20 +82,29 @@ let run ?max_flows ?jobs ?(bytes = 64 * 1024) ?(packet_bytes = 1024)
   Group.start group;
   let server_address = Group.address group 0 in
   let jobs = match jobs with Some j -> j | None -> flows in
-  let one index =
-    let rng = Stats.Rng.derive ~root:seed ~index in
-    let data = payload_for rng bytes in
-    let faults =
-      match scenario with
-      | Some sc when not (Faults.Scenario.is_clean sc) ->
-          Some
-            (Faults.Netem.create ~seed:(Int64.to_int (Stats.Rng.bits64 rng) land max_int) sc)
-      | _ -> None
-    in
-    (* Each sender shares the swarm's telemetry context but owns its fault
-       pipeline; the server side never sees ctx.faults (per-flow scenario
-       seeding covers it). *)
-    let sender_ctx = { ctx with Sockets.Io_ctx.faults } in
+  (* Each sender's payload, its CRC for the ledger and its fault pipeline,
+     made before the clock starts: reproducible from (seed, index) alone,
+     byte-varied so misdelivery between flows cannot go unnoticed by the
+     CRC. Each sender shares the swarm's telemetry context but owns its
+     fault pipeline; the server side never sees ctx.faults (per-flow
+     scenario seeding covers it). *)
+  let prepared =
+    List.init flows (fun index ->
+        let rng = Stats.Rng.derive ~root:seed ~index in
+        let data = Stats.Rng.string rng bytes in
+        let faults =
+          match scenario with
+          | Some sc when not (Faults.Scenario.is_clean sc) ->
+              Some
+                (Faults.Netem.create
+                   ~seed:(Int64.to_int (Stats.Rng.bits64 rng) land max_int)
+                   sc)
+          | _ -> None
+        in
+        let crc = Packet.Checksum.crc32_string data in
+        (index, data, crc, { ctx with Sockets.Io_ctx.faults }))
+  in
+  let one (index, data, crc, sender_ctx) =
     let sender_socket, sender_address = Sockets.Udp.create_socket () in
     Fun.protect
       ~finally:(fun () -> Sockets.Udp.close sender_socket)
@@ -110,8 +115,7 @@ let run ?max_flows ?jobs ?(bytes = 64 * 1024) ?(packet_bytes = 1024)
             ~socket:sender_socket ~peer:server_address ~suite ~data ()
         in
         ignore
-          (Ledger.sent ledger ~peer:sender_address ~transfer_id
-             ~crc:(Packet.Checksum.crc32_string data)
+          (Ledger.sent ledger ~peer:sender_address ~transfer_id ~crc
              ~max_attempts:(Protocol.Tuning.max_attempts tuning)
              ~packets:((bytes + packet_bytes - 1) / packet_bytes)
              result
@@ -127,7 +131,7 @@ let run ?max_flows ?jobs ?(bytes = 64 * 1024) ?(packet_bytes = 1024)
      the run uses, and the hook a virtual-time harness overrides. *)
   let clock = ctx.Sockets.Io_ctx.clock in
   let started = clock () in
-  let senders = Exec.Pool.map ~jobs ~f:one (List.init flows Fun.id) in
+  let senders = Exec.Pool.map ~jobs ~f:one prepared in
   let elapsed_ns = clock () - started in
   (* Read the server side only after its domains exited: snapshot and the
      invariant check walk live flow tables. A violated invariant also dumps

@@ -31,7 +31,9 @@ type report = {
   completed : int;  (** senders that finished [Success] *)
   rejected : int;  (** senders refused by admission control *)
   failed : int;  (** any other outcome *)
-  elapsed_ns : int;  (** wall clock over the whole swarm *)
+  elapsed_ns : int;
+      (** wall clock over the senders' transfers; payloads and fault
+          pipelines are made before it starts *)
   aggregate_mbit_s : float;  (** successful payload bits over the wall clock *)
   latency_ms : Obs.Hist.t;
       (** per-transfer latency of successful flows; report p50/p90/p99/max

@@ -465,6 +465,40 @@ let test_dst_rejects_empty_suites () =
     (Invalid_argument "Dst: suites must not be empty")
     (fun () -> ignore (Dst.Harness.run cfg : Dst.Harness.trial))
 
+(* Every configuration no trial can run is refused up front by
+   [Harness.validate], one message per check; the CLI turns each into a
+   usage error. The ring's churn and shard refusals live with the ring
+   tests. *)
+let refusals =
+  let d = Dst.Harness.default_config ~seed:1 in
+  let ring r = { (Dst.Harness.ring_config ~seed:1) with Dst.Harness.workload = Ring r } in
+  let r = Dst.Harness.default_ring in
+  [
+    ("zero horizon", { d with Dst.Harness.horizon_ns = 0 }, "horizon must be positive");
+    ("zero shards", { d with Dst.Harness.shards = 0 }, "shards must be positive");
+    ("negative max_flows", { d with Dst.Harness.max_flows = -1 }, "max_flows must not be negative");
+    ("zero senders", { d with Dst.Harness.senders = 0 }, "senders must be positive");
+    ("zero transfers", { d with Dst.Harness.transfers = 0 }, "transfers must be positive");
+    ("empty size range", { d with Dst.Harness.bytes_max = 1024 }, "bad transfer size range");
+    ("one ring member", ring { r with Dst.Harness.servers = 1 }, "ring needs at least 2 servers");
+    ("no stripes", ring { r with Dst.Harness.stripes = 0 }, "ring stripes must be positive");
+    ( "more replicas than members",
+      ring { r with Dst.Harness.replicas = 6 },
+      "ring needs 0 < replicas <= servers" );
+    ("zero quorum", ring { r with Dst.Harness.quorum = 0 }, "ring needs 0 < quorum <= replicas");
+    ( "quorum the kill breaks",
+      ring { r with Dst.Harness.quorum = 3 },
+      "ring quorum must survive one death (quorum <= replicas - 1)" );
+    ( "fewer bytes than stripes",
+      ring { r with Dst.Harness.object_bytes = 7 },
+      "ring object has fewer bytes than stripes" );
+  ]
+
+let refusal_case (label, cfg, message) =
+  Alcotest.test_case (label ^ " is refused") `Quick (fun () ->
+      Alcotest.check_raises label (Invalid_argument ("Dst: " ^ message)) (fun () ->
+          ignore (Dst.Harness.run cfg : Dst.Harness.trial)))
+
 (* Golden digests: the journal and flowtrace MD5s of fixed trials, pinned
    so a refactor of the engine or its hosts has to replay them byte for
    byte, not just against itself. The flowtrace digest catches a changed
@@ -560,4 +594,5 @@ let () =
             test_dst_rejects_empty_suites;
           Alcotest.test_case "journals match golden digests" `Quick test_dst_golden_digests;
         ] );
+      ("validate", List.map refusal_case refusals);
     ]

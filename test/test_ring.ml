@@ -297,16 +297,22 @@ let test_engine_manifest_over_memnet () =
 
 (* ------------------------------------------------------------- DST trials *)
 
-let ring_config ~seed ~faults =
-  { (Dst.Ring_sim.default_config ~seed) with Dst.Ring_sim.faults }
+(* The ring is a workload of the one DST harness: same journal, ledger,
+   invariant watch and flowtrace as the sender trials. *)
+let ring_config ~seed ~faults = { (Dst.Harness.ring_config ~seed) with Dst.Harness.faults }
+
+let verdict (t : Dst.Harness.trial) =
+  match t.Dst.Harness.ring with
+  | Some v -> v
+  | None -> Alcotest.fail "a ring config ran as a sender trial"
 
 let test_ring_dst_clean_kill () =
-  let t = Dst.Ring_sim.run (ring_config ~seed:5 ~faults:None) in
-  Alcotest.(check (list string)) "no violations" [] t.Dst.Ring_sim.violations;
-  Alcotest.(check bool) "a server was killed" true (t.Dst.Ring_sim.killed <> None);
-  Alcotest.(check bool) "quorum met before repair" true t.Dst.Ring_sim.quorum_met;
-  Alcotest.(check bool) "fully replicated after repair" true
-    t.Dst.Ring_sim.fully_replicated
+  let t = Dst.Harness.run (ring_config ~seed:5 ~faults:None) in
+  let v = verdict t in
+  Alcotest.(check (list string)) "no violations" [] t.Dst.Harness.violations;
+  Alcotest.(check bool) "a server was killed" true (v.Dst.Harness.killed_member <> None);
+  Alcotest.(check bool) "quorum met before repair" true v.Dst.Harness.quorum_met;
+  Alcotest.(check bool) "fully replicated after repair" true v.Dst.Harness.fully_replicated
 
 (* Satellite: kill-one convergence under {e every} netem scenario — quorum
    survives the death, repair restores full replication, and the journal
@@ -319,17 +325,17 @@ let test_ring_dst_every_scenario () =
       in
       let cfg = ring_config ~seed:19 ~faults in
       let name = Faults.Scenario.name scenario in
-      let t = Dst.Ring_sim.run cfg in
+      let t = Dst.Harness.run cfg in
       Alcotest.(check (list string))
         (Printf.sprintf "no violations under %s" name)
-        [] t.Dst.Ring_sim.violations;
+        [] t.Dst.Harness.violations;
       Alcotest.(check bool)
         (Printf.sprintf "repair reconverges under %s" name)
-        true t.Dst.Ring_sim.fully_replicated;
-      let t' = Dst.Ring_sim.run cfg in
+        true (verdict t).Dst.Harness.fully_replicated;
+      let t' = Dst.Harness.run cfg in
       Alcotest.(check string)
         (Printf.sprintf "replay bit-for-bit under %s" name)
-        t.Dst.Ring_sim.journal t'.Dst.Ring_sim.journal)
+        t.Dst.Harness.journal t'.Dst.Harness.journal)
     Faults.Scenario.all
 
 let test_ring_dst_jobs_invariant () =
@@ -337,8 +343,8 @@ let test_ring_dst_jobs_invariant () =
   let seeds = [ 1; 2; 3; 4 ] in
   let digests jobs =
     List.map
-      (fun (t : Dst.Ring_sim.trial) -> t.Dst.Ring_sim.digest)
-      (Dst.Ring_sim.run_seeds ~jobs cfg ~seeds)
+      (fun (t : Dst.Harness.trial) -> t.Dst.Harness.digest)
+      (Dst.Harness.run_seeds ~jobs cfg ~seeds)
   in
   Alcotest.(check (list string)) "same digests at jobs=1 and jobs=4" (digests 1)
     (digests 4)
@@ -354,14 +360,74 @@ let test_ring_dst_golden_digests () =
     ]
   in
   let trials =
-    Dst.Ring_sim.run_seeds ~jobs:1 (Dst.Ring_sim.default_config ~seed:1)
+    Dst.Harness.run_seeds ~jobs:1 (Dst.Harness.ring_config ~seed:1)
       ~seeds:(List.map fst pins)
   in
   List.iter2
-    (fun (seed, digest) (t : Dst.Ring_sim.trial) ->
+    (fun (seed, digest) (t : Dst.Harness.trial) ->
       Alcotest.(check string) (Printf.sprintf "seed %d journal" seed) digest
-        t.Dst.Ring_sim.digest)
+        t.Dst.Harness.digest)
     pins trials
+
+(* A clean ring with no kill: every blast lands, so each is one verified
+   server delivery and one [done] in the shared flowtrace — the ring
+   engines report through the same channels as the sender workload's. *)
+let test_ring_dst_clean_steady () =
+  let t =
+    Dst.Harness.run { (ring_config ~seed:7 ~faults:None) with Dst.Harness.churn = Steady }
+  in
+  let v = verdict t in
+  Alcotest.(check (list string)) "no violations" [] t.Dst.Harness.violations;
+  Alcotest.(check int) "no member killed" 0 t.Dst.Harness.killed;
+  Alcotest.(check int) "every blast succeeds" t.Dst.Harness.attempted t.Dst.Harness.completed;
+  Alcotest.(check int) "one blast per stripe replica"
+    (Dst.Harness.default_ring.Dst.Harness.stripes * Dst.Harness.default_ring.Dst.Harness.replicas)
+    v.Dst.Harness.put_blasts;
+  Alcotest.(check int) "server totals match the blasts" t.Dst.Harness.completed
+    t.Dst.Harness.server_completed;
+  let dones =
+    List.length
+      (List.filter
+         (fun l -> Str_exists.contains_substring l "\"ev\":\"done\"")
+         (String.split_on_char '\n' t.Dst.Harness.flowtrace))
+  in
+  Alcotest.(check int) "one flowtrace done per blast" t.Dst.Harness.completed dones
+
+(* The activity span ends with the last event before the trailer, not at
+   the horizon the trailer is stamped with. *)
+let test_ring_dst_activity_span () =
+  let cfg = ring_config ~seed:1 ~faults:None in
+  let t = Dst.Harness.run cfg in
+  Alcotest.(check bool) "span below the horizon" true
+    (t.Dst.Harness.virtual_ns < cfg.Dst.Harness.horizon_ns);
+  let lines = String.split_on_char '\n' t.Dst.Harness.journal in
+  let rec before_trailer = function
+    | l :: (next :: _ as rest) ->
+        if Str_exists.contains_substring next "] net delivered=" then l
+        else before_trailer rest
+    | _ -> Alcotest.fail "journal has no trailer"
+  in
+  let last = before_trailer lines in
+  let stamp = int_of_string (String.sub last 1 (String.index last ']' - 1)) in
+  Alcotest.(check int) "span is the last pre-trailer stamp" stamp t.Dst.Harness.virtual_ns
+
+(* The ring hosts one engine per member and kills a member for good: churn
+   that restarts or reuses, and sharded members, have no meaning there. *)
+let test_ring_dst_refuses_sender_churn () =
+  let base = Dst.Harness.ring_config ~seed:1 in
+  let refused label cfg message =
+    Alcotest.check_raises label (Invalid_argument message) (fun () ->
+        ignore (Dst.Harness.run cfg : Dst.Harness.trial))
+  in
+  List.iter
+    (fun churn ->
+      refused (Dst.Harness.churn_name churn)
+        { base with Dst.Harness.churn }
+        "Dst: the ring workload takes steady or kill churn")
+    [ Dst.Harness.Reuse; Dst.Harness.Restart; Dst.Harness.Mixed ];
+  refused "two shards"
+    { base with Dst.Harness.shards = 2 }
+    "Dst: the ring workload runs one engine per member (shards = 1)"
 
 (* --------------------------------------------------------- real-UDP fleet *)
 
@@ -459,6 +525,12 @@ let () =
             test_ring_dst_jobs_invariant;
           Alcotest.test_case "journals match golden digests" `Quick
             test_ring_dst_golden_digests;
+          Alcotest.test_case "clean steady ring under the full oracle" `Quick
+            test_ring_dst_clean_steady;
+          Alcotest.test_case "activity span ends before the trailer" `Quick
+            test_ring_dst_activity_span;
+          Alcotest.test_case "sender-only churn and shards are refused" `Quick
+            test_ring_dst_refuses_sender_churn;
         ] );
       ( "fleet",
         [

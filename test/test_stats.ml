@@ -429,28 +429,6 @@ let test_log_choose () =
   check_float "C(n,0)" 0.0 (Stats.Distribution.log_choose 5 0);
   Alcotest.(check bool) "k>n" true (Stats.Distribution.log_choose 3 4 = neg_infinity)
 
-(* ----------------------------------------------------------- Percentile *)
-
-let test_percentile_median () =
-  check_float "odd median" 3.0 (Stats.Percentile.median [| 5.0; 1.0; 3.0 |]);
-  check_float "even median" 2.5 (Stats.Percentile.median [| 4.0; 1.0; 2.0; 3.0 |])
-
-let test_percentile_extremes () =
-  let xs = [| 9.0; 1.0; 5.0 |] in
-  check_float "q0 is min" 1.0 (Stats.Percentile.quantile xs 0.0);
-  check_float "q1 is max" 9.0 (Stats.Percentile.quantile xs 1.0)
-
-let prop_quantile_monotone =
-  QCheck.Test.make ~name:"quantile is monotone in q" ~count:200
-    QCheck.(
-      pair
-        (list_of_size Gen.(int_range 1 50) (float_range (-100.0) 100.0))
-        (pair (float_range 0.0 1.0) (float_range 0.0 1.0)))
-    (fun (xs, (q1, q2)) ->
-      let a = Array.of_list xs in
-      let lo = Float.min q1 q2 and hi = Float.max q1 q2 in
-      Stats.Percentile.quantile a lo <= Stats.Percentile.quantile a hi +. 1e-9)
-
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -500,8 +478,4 @@ let () =
           Alcotest.test_case "binomial pmf" `Quick test_binomial_pmf;
           Alcotest.test_case "log choose" `Quick test_log_choose;
         ] );
-      ( "percentile",
-        Alcotest.test_case "median" `Quick test_percentile_median
-        :: Alcotest.test_case "extremes" `Quick test_percentile_extremes
-        :: qcheck [ prop_quantile_monotone ] );
     ]
