@@ -463,9 +463,10 @@ let serve_concurrency_rows () =
 
 (* Striped replicated ring transfers: wall-clock completion of a
    write-quorum put against a real-UDP fleet, as stripe width grows, on a
-   clean wire and under loss. Striping only pays when the host has domains
-   to run the fan-out in parallel, so the width gate arms on >= 4
-   recommended domains and is otherwise printed as a SKIP (the per-row
+   clean wire and under loss. The client runs every blast on one loop, but
+   the members each serve on their own domain: striping only pays when the
+   host has the cores to run them in parallel, so the width gate arms on
+   >= 4 recommended domains and is otherwise printed as a SKIP (the per-row
    [recommended_domains] records why). *)
 let ring_stripe_rows () =
   let domains = Domain.recommended_domain_count () in
@@ -489,12 +490,21 @@ let ring_stripe_rows () =
                 Server.Group.stop fleet;
                 Server.Group.join fleet)
               (fun () ->
+                let tuning =
+                  Protocol.Tuning.fixed ~retransmit_ns:20_000_000 ~max_attempts:20 ()
+                in
+                let placement = Ring.Placement.create ~seed:1 (Server.Group.alive fleet) in
                 let put =
-                  Ring.Client.put
-          ~tuning:(Protocol.Tuning.fixed ~retransmit_ns:20_000_000 ~max_attempts:20 ())
-                    ~placement:(Ring.Placement.create ~seed:1 (Server.Group.alive fleet))
-                    ~peer_of:(Server.Group.address fleet)
-                    ~object_id:1 ~stripes ~replicas ~quorum ~data ()
+                  Ring.Client.over_udp (fun transport ->
+                      Ring.Client.put ~ctx:(Sockets.Io_ctx.make ~tuning ()) ~transport
+                        ~placement ~peer_of:(Server.Group.address fleet) ~object_id:1
+                        ~stripes ~replicas ~quorum ~data ())
+                in
+                let sum field =
+                  Obs.Json.Int
+                    (List.fold_left
+                       (fun n r -> n + field r.Ring.Client.result.Sockets.Peer.counters)
+                       0 put.Ring.Client.results)
                 in
                 if clean then Hashtbl.replace clean_ns stripes put.Ring.Client.elapsed_ns;
                 Obs.Json.Obj
@@ -508,6 +518,9 @@ let ring_stripe_rows () =
                     ("bytes", Obs.Json.Int bytes);
                     ("quorum_met", Obs.Json.Bool put.Ring.Client.quorum_met);
                     ("wall_ns", Obs.Json.Int put.Ring.Client.elapsed_ns);
+                    ("sender_timeouts", sum (fun c -> c.Protocol.Counters.timeouts));
+                    ( "retransmitted_data",
+                      sum (fun c -> c.Protocol.Counters.retransmitted_data) );
                   ]))
           [ 1; 4; 16 ])
       [ Faults.Scenario.clean; Faults.Scenario.lossy2 ]
@@ -526,8 +539,8 @@ let ring_stripe_rows () =
   end
   else
     Printf.printf
-      "ring_stripe: SKIP width gate (host recommends %d domain(s); the striped fan-out \
-       needs >= 4)\n\
+      "ring_stripe: SKIP width gate (host recommends %d domain(s); the members' \
+       domains need >= 4)\n\
        %!"
       domains;
   rows

@@ -1215,31 +1215,31 @@ let ring_validate ~servers ~stripes ~replicas ~quorum ~bytes =
 let pp_replication counts =
   String.concat " " (Array.to_list (Array.map string_of_int counts))
 
-let print_repair_report (report : Ring.Repair.report) =
-  Printf.printf "survey: %d answered%s\n"
-    (List.length report.Ring.Repair.answered)
-    (match report.Ring.Repair.unresponsive with
-    | [] -> ""
-    | dead ->
-        Printf.sprintf ", unresponsive [%s]"
-          (String.concat " " (List.map string_of_int dead)));
-  Printf.printf "replication before repair [%s]\n"
-    (pp_replication report.Ring.Repair.before);
+let print_survey { Ring.Repair.answered; unresponsive } =
+  let dead = pp_replication (Array.of_list unresponsive) in
+  Printf.printf "survey: %d answered%s\n" (List.length answered)
+    (if unresponsive = [] then "" else Printf.sprintf ", unresponsive [%s]" dead)
+
+let print_repair_report
+    { Ring.Repair.first; before; rounds; reblasts; last; after; fully_replicated;
+      elapsed_ns; _ } =
+  print_survey first;
+  Printf.printf "replication before repair [%s]\n" (pp_replication before);
   List.iter
-    (fun ((a : Ring.Repair.action), outcome) ->
-      Format.printf "  re-blast stripe %d -> server %d: %a@." a.Ring.Repair.stripe
-        a.Ring.Repair.server Protocol.Action.pp_outcome outcome)
-    report.Ring.Repair.actions;
-  Printf.printf "replication after repair  [%s]\n"
-    (pp_replication report.Ring.Repair.after);
-  Printf.printf "repair: %s in %.1f ms\n"
-    (if report.Ring.Repair.fully_replicated then "fully replicated"
-     else "UNDER-REPLICATED")
-    (float_of_int report.Ring.Repair.elapsed_ns /. 1e6)
+    (fun { Ring.Client.job = { Ring.Client.stripe; server; _ }; result; _ } ->
+      Format.printf "  re-blast stripe %d -> server %d: %a@." stripe server
+        Protocol.Action.pp_outcome result.Sockets.Peer.outcome)
+    reblasts;
+  if rounds > 0 then print_survey last;
+  Printf.printf "replication after repair  [%s]\n" (pp_replication after);
+  Printf.printf "repair: %s in %d round(s), %.1f ms\n"
+    (if fully_replicated then "fully replicated" else "UNDER-REPLICATED")
+    rounds
+    (float_of_int elapsed_ns /. 1e6)
 
 let ring_put_cmd =
   let run servers stripes replicas quorum bytes packet_bytes retransmit_ms max_attempts
-      base_port object_id seed kill no_repair hold_s admin_port jobs =
+      base_port object_id seed kill no_repair hold_s admin_port =
     ring_validate ~servers ~stripes ~replicas ~quorum ~bytes;
     require_packet_bytes ~cmd:"ring-put" packet_bytes;
     require ~cmd:"ring-put" ~flag:"kill" ((not kill) || servers >= 2)
@@ -1260,52 +1260,53 @@ let ring_put_cmd =
         let placement = Ring.Placement.create ~seed (Server.Group.alive fleet) in
         let peer_of = Server.Group.address fleet in
         let data = ring_payload ~seed bytes in
-        (* The kill lands while the fan-out is in flight: the put must
-           still reach its write quorum from the survivors. *)
-        let killer =
-          if not kill then None
-          else begin
-            let victim = Stats.Hash.mix2 ~seed object_id 2 mod servers in
-            Some
-              (Thread.create
-                 (fun () ->
-                   Thread.delay 0.002;
-                   Server.Group.kill fleet victim;
-                   Printf.printf "killed server %d mid-transfer\n%!" victim)
-                 ())
-          end
+        let retransmit_ns = retransmit_ms * 1_000_000 in
+        let tuning = Protocol.Tuning.fixed ~retransmit_ns ~max_attempts () in
+        let ctx = Sockets.Io_ctx.make ~tuning () in
+        (* The kill lands while the put is in flight, driven by its own
+           progress: the put must still report honestly, and repair
+           re-homes the dead member's stripes. *)
+        let churn transport =
+          if not kill then transport
+          else
+            let rng = Stats.Rng.derive ~root:seed ~index:object_id in
+            Ring.Client.kill_mid_put ~draw:(Stats.Rng.int rng) ~max_attempts ~packet_bytes
+              ~peer_of ~kill:(fun victim ->
+                Server.Group.kill fleet victim;
+                Printf.printf "killed server %d mid-transfer\n%!" victim)
+              (Ring.Client.plan placement ~object_id ~total:bytes ~stripes ~replicas)
+              transport
         in
-        let tuning =
-          Protocol.Tuning.fixed ~retransmit_ns:(retransmit_ms * 1_000_000)
-            ~max_attempts ()
-        in
-        let put =
-          Ring.Client.put ?jobs ~packet_bytes ~tuning ~placement
-            ~peer_of ~object_id ~stripes ~replicas ~quorum ~data ()
-        in
-        Option.iter Thread.join killer;
-        Printf.printf
-          "put object %d: %d bytes, %d stripes x %d replicas; acks [%s]; quorum %s in \
-           %.1f ms\n"
-          object_id bytes stripes replicas
-          (pp_replication put.Ring.Client.acked)
-          (if put.Ring.Client.quorum_met then "MET" else "UNMET")
-          (float_of_int put.Ring.Client.elapsed_ns /. 1e6);
-        (* With a kill, W = R puts can be unable to reach quorum for the dead
-           member's stripes; the verdict that matters is the ring's own
-           post-repair survey, so that is what the exit code reports. *)
+        (* Two sockets open at once: the repair's flows must not meet the
+           put's on the same (address, transfer id) keys. *)
         let ok =
-          if no_repair then put.Ring.Client.quorum_met
-          else begin
-            let live = Ring.Placement.create ~seed (Server.Group.alive fleet) in
-            let report =
-              Ring.Repair.run ?jobs ~packet_bytes ~tuning
-                ~placement:live ~peer_of ~object_id ~stripes ~replicas ~data ()
-            in
-            print_repair_report report;
-            report.Ring.Repair.fully_replicated
-            && Array.for_all (fun c -> c >= quorum) report.Ring.Repair.after
-          end
+          Ring.Client.over_udp (fun transport ->
+              let put =
+                Ring.Client.put ~ctx ~packet_bytes ~transport:(churn transport) ~placement
+                  ~peer_of ~object_id ~stripes ~replicas ~quorum ~data ()
+              in
+              Printf.printf
+                "put object %d: %d bytes, %d stripes x %d replicas; acks [%s]; \
+                 quorum %s in %.1f ms\n"
+                object_id bytes stripes replicas
+                (pp_replication put.Ring.Client.acked)
+                (if put.Ring.Client.quorum_met then "MET" else "UNMET")
+                (float_of_int put.Ring.Client.elapsed_ns /. 1e6);
+              (* With a kill, W = R puts cannot reach quorum for the dead
+                 member's stripes; the verdict that matters is the ring's
+                 own post-repair survey, so that is what the exit code
+                 reports. *)
+              if no_repair then put.Ring.Client.quorum_met
+              else
+                Ring.Client.over_udp (fun transport ->
+                    let live = Ring.Placement.create ~seed (Server.Group.alive fleet) in
+                    let report =
+                      Ring.Repair.run ~ctx ~packet_bytes ~transport ~placement:live ~peer_of
+                        ~object_id ~stripes ~replicas ~data ()
+                    in
+                    print_repair_report report;
+                    report.Ring.Repair.fully_replicated
+                    && Array.for_all (fun c -> c >= quorum) report.Ring.Repair.after))
         in
         let snap = Server.Group.snapshot fleet in
         Printf.printf "fleet: %d/%d alive, %d stripe replicas held\n"
@@ -1338,9 +1339,9 @@ let ring_put_cmd =
     Arg.(
       value & flag
       & info [ "kill" ]
-          ~doc:"Kill one (seeded-random) server mid-transfer, permanently; the put must \
-                reach quorum from the survivors and repair re-homes the dead member's \
-                stripes.")
+          ~doc:"Kill one (seeded) member mid-put, permanently: it dies just before the \
+                put's k-th datagram to it, so its blasts fail however fast the host is. \
+                Repair then re-homes the dead member's stripes.")
   in
   let no_repair =
     Arg.(value & flag & info [ "no-repair" ] ~doc:"Skip the read-repair pass after the put.")
@@ -1356,17 +1357,17 @@ let ring_put_cmd =
     (Cmd.info "ring-put"
        ~doc:
          "Striped, replicated blast across an in-process server ring: split the object \
-          into stripes, blast each to its consistent-hash replicas as ordinary \
-          sub-transfers, report the write quorum, then read-repair; with --kill one \
-          member dies mid-transfer and the object must survive. Exits non-zero if the \
-          quorum or repair fails")
+          into stripes, blast each to its consistent-hash replicas as ordinary flows, \
+          all at once on one client socket, report the write quorum, then read-repair; \
+          with --kill one member dies mid-put and the object must survive. Exits \
+          non-zero if the quorum or repair fails")
     Term.(
       const run $ ring_servers $ ring_stripes $ ring_replicas $ ring_quorum $ ring_bytes
       $ packet_bytes $ retransmit_ms $ max_attempts $ ring_base_port $ ring_object_id
-      $ seed $ kill $ no_repair $ hold_s $ admin_port $ jobs)
+      $ seed $ kill $ no_repair $ hold_s $ admin_port)
 
 let ring_repair_cmd =
-  let run servers base_port dead bytes stripes replicas object_id seed jobs =
+  let run servers base_port dead bytes stripes replicas object_id seed =
     ring_validate ~servers ~stripes ~replicas ~quorum:replicas ~bytes;
     require ~cmd:"ring-repair" ~flag:"base-port" (base_port > 0)
       ~must_be:"given (the ring's first port)";
@@ -1383,8 +1384,14 @@ let ring_repair_cmd =
     let placement = Ring.Placement.create ~seed live in
     let peer_of i = Unix.ADDR_INET (Unix.inet_addr_loopback, base_port + i) in
     let data = ring_payload ~seed bytes in
+    (* ring-put's default timers: a silent member costs the survey 15 tries
+       of 80 ms, not the wire default's 50 of 200 ms. *)
+    let tuning = Protocol.Tuning.fixed ~retransmit_ns:20_000_000 ~max_attempts:15 () in
+    let ctx = Sockets.Io_ctx.make ~tuning () in
     let report =
-      Ring.Repair.run ?jobs ~placement ~peer_of ~object_id ~stripes ~replicas ~data ()
+      Ring.Client.over_udp (fun transport ->
+          Ring.Repair.run ~ctx ~transport ~placement ~peer_of ~object_id ~stripes ~replicas
+            ~data ())
     in
     print_repair_report report;
     if not report.Ring.Repair.fully_replicated then exit 1
@@ -1409,7 +1416,7 @@ let ring_repair_cmd =
           stripe ends fully replicated")
     Term.(
       const run $ ring_servers $ base_port $ dead $ ring_bytes $ ring_stripes
-      $ ring_replicas $ ring_object_id $ seed $ jobs)
+      $ ring_replicas $ ring_object_id $ seed)
 
 (* --------------------------------------------------------- live stats plane *)
 

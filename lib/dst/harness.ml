@@ -1,7 +1,6 @@
 module Sim = Eventsim.Sim
 module Proc = Eventsim.Proc
 module Time = Eventsim.Time
-module Mailbox = Eventsim.Mailbox
 module Net = Memnet.Net
 
 let log = Logs.Src.create "dst.harness" ~doc:"whole-system deterministic simulation"
@@ -197,7 +196,6 @@ type harness = {
 let server_port = 9_000
 let ring_base_port = 9_100
 let object_id = 77
-let ring_vnodes = 32
 let is_ring h = match h.cfg.workload with Ring _ -> true | Senders -> false
 
 let now_ns h = Time.to_ns (Sim.now h.sim)
@@ -525,96 +523,40 @@ let churn_controller h =
 (* ------------------------------------------------------------------ ring *)
 
 let ring_address server = Unix.ADDR_INET (Unix.inet_addr_loopback, ring_base_port + server)
-
-(* One stripe replica as its own simulated process on its own ephemeral
-   endpoint — the DST mirror of Ring.Client.blast, recorded in the ledger
-   under its stripe's CRC. *)
-let blast_proc h r ~data ~crcs ~results (job : Ring.Client.job) () =
-  let ep = Net.bind h.net in
-  let stripe =
-    { Packet.Stripe.object_id; index = job.Ring.Client.stripe; count = r.stripes }
-  in
-  let result =
-    Sockets.Peer.send_via
-      ~ctx:(Sockets.Io_ctx.make ~clock:(clock_of h) ~tuning:h.cfg.tuning ())
-      ~transfer_id:object_id ~packet_bytes:h.cfg.packet_bytes ~stripe
-      ~transport:(Net.transport ep) ~peer:(ring_address job.Ring.Client.server)
-      ~suite:(Protocol.Suite.Blast Protocol.Blast.Go_back_n)
-      ~data:(String.sub data job.Ring.Client.offset job.Ring.Client.bytes)
-      ()
-  in
-  line h "blast stripe=%d replica=%d server=%d outcome=%s" job.Ring.Client.stripe
-    job.Ring.Client.replica job.Ring.Client.server
-    (outcome_str result.Sockets.Peer.outcome);
-  Option.iter (violation h)
-    (Server.Ledger.sent h.ledger ~peer:(Net.address ep) ~transfer_id:object_id
-       ~crc:crcs.(job.Ring.Client.stripe)
-       ~max_attempts:(Protocol.Tuning.max_attempts h.cfg.tuning)
-       ~packets:(packets_of h job.Ring.Client.bytes) result);
-  Net.close ep;
-  ignore (Mailbox.try_put results (job, result.Sockets.Peer.outcome))
-
-(* Every job in parallel; each outcome with its job, in completion order,
-   counted into the trial's attempted / completed / failed. *)
-let run_blasts h r ~data ~crcs jobs =
-  let results : (Ring.Client.job * Protocol.Action.outcome) Mailbox.t =
-    Mailbox.create ~capacity:max_int
-  in
-  List.iter
-    (fun job -> Proc.spawn (Proc.env h.sim) (blast_proc h r ~data ~crcs ~results job))
-    jobs;
-  let results = List.map (fun _ -> Mailbox.get results) jobs in
-  List.iter
-    (fun (_, outcome) ->
-      h.attempted <- h.attempted + 1;
-      if outcome = Protocol.Action.Success then h.completed <- h.completed + 1
-      else h.failed <- h.failed + 1)
-    results;
-  results
-
-(* Survey every live member over the wire — a fresh endpoint per query so a
-   straggling reply from one server can never be read as another's. Returns
-   the folded manifest plus the live members whose exchange never completed
-   (under a hostile wire the survey itself is lossy): a partial survey can
-   drive repair — re-blasting a held stripe is idempotent — but must never
-   ground a quorum verdict against anyone. *)
-let survey h r st =
-  let manifest = Ring.Manifest.create ~object_id ~stripes:r.stripes in
-  let answered = Array.make r.servers false in
-  let remaining () =
-    List.init r.servers Fun.id
-    |> List.filter (fun s -> (not st.dead.(s)) && not answered.(s))
-  in
-  (* Up to three passes over the silent members: a single MREQ/MREP
-     exchange can lose every attempt against a perfectly live server, so
-     the survey retries before calling anyone unresponsive. *)
-  let pass = ref 0 in
-  while !pass < 3 && remaining () <> [] do
-    incr pass;
-    List.iter
-      (fun server ->
-        let ep = Net.bind h.net in
-        (match
-           Ring.Repair.query_via ~attempts:5
-             ~timeout_ns:(4 * Protocol.Tuning.retransmit_ns h.cfg.tuning)
-             ~clock:(clock_of h) ~transport:(Net.transport ep) ~peer:(ring_address server)
-             ~object_id ()
-         with
-        | Some entries ->
-            answered.(server) <- true;
-            Ring.Manifest.record manifest ~server entries;
-            line h "survey server=%d entries=%d" server (List.length entries)
-        | None -> line h "survey server=%d unresponsive (pass %d)" server !pass);
-        Net.close ep)
-      (remaining ())
-  done;
-  (manifest, remaining ())
-
 let ints_str l = String.concat "," (List.map string_of_int l)
 let replication_str counts = ints_str (Array.to_list counts)
 
-(* The put, the kill, the surveys and the repair rounds: one client process
-   whose verdicts land in [st]. *)
+let kill_member h st victim =
+  st.dead.(victim) <- true;
+  st.verdict <- { st.verdict with killed_member = Some victim };
+  h.killed <- h.killed + 1;
+  line h "churn kill server=%d" victim;
+  Option.iter Server.Engine.stop h.engines.(victim)
+
+(* Each blast's outcome into the trial's counts and the delivery oracle,
+   under its stripe's CRC and the client endpoint it left from. *)
+let record_blasts h ~label ~peer ~crcs results =
+  List.iter
+    (fun { Ring.Client.job; transfer_id; result } ->
+      let outcome = result.Sockets.Peer.outcome in
+      line h "%s id=%d stripe=%d server=%d outcome=%s" label transfer_id
+        job.Ring.Client.stripe job.Ring.Client.server (outcome_str outcome);
+      h.attempted <- h.attempted + 1;
+      if outcome = Protocol.Action.Success then h.completed <- h.completed + 1
+      else h.failed <- h.failed + 1;
+      Option.iter (violation h)
+        (Server.Ledger.sent h.ledger ~peer ~transfer_id ~crc:crcs.(job.Ring.Client.stripe)
+           ~max_attempts:(Protocol.Tuning.max_attempts h.cfg.tuning)
+           ~packets:(packets_of h job.Ring.Client.bytes) result))
+    results
+
+let record_survey h { Ring.Repair.answered; unresponsive } =
+  List.iter (fun (s, e) -> line h "survey server=%d entries=%d" s (List.length e)) answered;
+  List.iter (fun s -> line h "survey server=%d unresponsive" s) unresponsive
+
+(* The serving client on the simulated wire: the put, then read-repair on
+   the live ring, each on an endpoint of its own. The harness adds the kill
+   and checks the outcomes. *)
 let ring_client h r st () =
   let cfg = h.cfg in
   let rng = Stats.Rng.derive ~root:cfg.seed ~index:42 in
@@ -622,134 +564,96 @@ let ring_client h r st () =
   Proc.sleep (Time.span_ns 5_000_000);
   let data = Stats.Rng.string rng r.object_bytes in
   let crcs = Ring.Client.stripe_crcs ~data ~stripes:r.stripes in
-  let placement =
-    Ring.Placement.create ~vnodes:ring_vnodes ~seed:cfg.seed (List.init r.servers Fun.id)
-  in
+  let members = List.init r.servers Fun.id in
+  let placement = Ring.Placement.create ~seed:cfg.seed members in
   let jobs =
     Ring.Client.plan placement ~object_id ~total:r.object_bytes ~stripes:r.stripes
       ~replicas:r.replicas
   in
+  let ctx = Sockets.Io_ctx.make ~clock:(clock_of h) ~tuning:cfg.tuning () in
   st.verdict <- { st.verdict with put_blasts = List.length jobs };
   line h "put start object=%d bytes=%d stripes=%d replicas=%d quorum=%d jobs=%d" object_id
     r.object_bytes r.stripes r.replicas r.quorum (List.length jobs);
-  (* The kill lands while the fan-out is in flight: one member of the ring
-     goes dark mid-transfer, for good. *)
-  if cfg.churn = Kill then begin
-    let victim = Stats.Rng.int rng r.servers in
-    (* A clean fan-out settles within a couple of milliseconds of virtual
-       time, so the kill must land inside the first one to be genuinely
-       mid-transfer. *)
-    let delay_ns = 100_000 + Stats.Rng.int rng 500_000 in
-    Proc.spawn (Proc.env h.sim) ~name:"killer" (fun () ->
-        Proc.sleep (Time.span_ns delay_ns);
-        match h.engines.(victim) with
-        | Some engine when not st.dead.(victim) ->
-            st.dead.(victim) <- true;
-            st.verdict <- { st.verdict with killed_member = Some victim };
-            h.killed <- h.killed + 1;
-            line h "churn kill server=%d" victim;
-            Server.Engine.stop engine
-        | _ -> ())
-  end;
-  let results = run_blasts h r ~data ~crcs jobs in
+  let ep = Net.bind h.net in
+  let transport =
+    if cfg.churn <> Kill then Net.transport ep
+    else
+      Ring.Client.kill_mid_put ~draw:(Stats.Rng.int rng)
+        ~max_attempts:(Protocol.Tuning.max_attempts cfg.tuning)
+        ~packet_bytes:cfg.packet_bytes ~peer_of:ring_address ~kill:(kill_member h st) jobs
+        (Net.transport ep)
+  in
+  let put =
+    Ring.Client.put ~ctx ~packet_bytes:cfg.packet_bytes ~transport ~placement
+      ~peer_of:ring_address ~object_id ~stripes:r.stripes ~replicas:r.replicas
+      ~quorum:r.quorum ~data ()
+  in
+  Net.close ep;
+  record_blasts h ~label:"blast" ~peer:(Net.address ep) ~crcs put.Ring.Client.results;
   line h "put end ok=%d failed=%d" h.completed h.failed;
-  (* The verdict comes from the ring's own answers, not from the blasts'
-     view of themselves. The invariant is no {e false durability claim}:
-     whenever the put's own outcomes reached the quorum (per stripe,
-     [Success] >= W), the survey must confirm it. The converse is allowed —
-     under a hostile enough wire a blast at a {e live} server can exhaust
-     its attempts and fail cleanly, and then the put itself already
-     reported the object not durable. Successes on the killed server do
-     not count toward the claim: a replica may land there before the kill,
-     and dies with it — which is precisely the gap repair exists to
-     close, not a lie anyone told. *)
+  (* The invariant is no {e false durability claim}: whenever the put's own
+     outcomes reached the quorum (per stripe, [Success] >= W), the survey
+     must confirm it. The converse is allowed — under a hostile enough wire
+     a blast at a {e live} server can exhaust its attempts and fail cleanly,
+     and then the put itself already reported the object not durable.
+     Successes on the killed server do not count toward the claim: a
+     replica may land there before the kill, and dies with it — which is
+     precisely the gap repair exists to close, not a lie anyone told. *)
   let claimed = Array.make r.stripes 0 in
   List.iter
-    (fun ((job : Ring.Client.job), outcome) ->
-      if outcome = Protocol.Action.Success && not st.dead.(job.Ring.Client.server) then
-        claimed.(job.Ring.Client.stripe) <- claimed.(job.Ring.Client.stripe) + 1)
-    results;
+    (fun { Ring.Client.job = { Ring.Client.stripe; server; _ }; result; _ } ->
+      if result.Sockets.Peer.outcome = Protocol.Action.Success && not st.dead.(server) then
+        claimed.(stripe) <- claimed.(stripe) + 1)
+    put.Ring.Client.results;
   let put_claimed_quorum = Array.for_all (fun c -> c >= r.quorum) claimed in
-  let manifest, unanswered = survey h r st in
-  let counts = Ring.Manifest.replication manifest ~crcs in
-  line h "replication before repair [%s]" (replication_str counts);
-  let quorum_met = Ring.Manifest.quorum_met manifest ~quorum:r.quorum ~crcs in
-  st.verdict <- { st.verdict with quorum_met };
+  let live = List.filter (fun i -> not st.dead.(i)) members in
+  let ep = Net.bind h.net in
+  let { Ring.Repair.first; before; rounds; reblasts; last; after; target; fully_replicated;
+        _ } =
+    Ring.Repair.run ~ctx ~packet_bytes:cfg.packet_bytes ~transport:(Net.transport ep)
+      ~placement:(Ring.Placement.create ~seed:cfg.seed live)
+      ~peer_of:ring_address ~object_id ~stripes:r.stripes ~replicas:r.replicas ~data ()
+  in
+  Net.close ep;
+  (* A partial survey (under a hostile wire the survey itself is lossy) can
+     drive repair — re-blasting a held stripe is idempotent — but never
+     grounds a verdict against anyone. *)
+  let unanswered (s : Ring.Repair.survey) = s.Ring.Repair.unresponsive in
+  record_survey h first;
+  line h "replication before repair [%s]" (replication_str before);
+  let quorum_met = Array.for_all (fun n -> n >= r.quorum) before in
   if not quorum_met then begin
     line h "write quorum unmet before repair (put claimed it: %b)" put_claimed_quorum;
     if put_claimed_quorum then
-      if unanswered = [] then
+      if unanswered first = [] then
         violation h
           (Printf.sprintf
              "false durability claim: put reached quorum but the survey says [%s]"
-             (replication_str counts))
+             (replication_str before))
       else
         line h "survey partial (unanswered [%s]); quorum verdict skipped"
-          (ints_str unanswered)
+          (ints_str (unanswered first))
   end;
-  (* Read-repair on the live ring, to convergence (bounded rounds). *)
-  let live = List.init r.servers Fun.id |> List.filter (fun i -> not st.dead.(i)) in
-  let live_placement = Ring.Placement.create ~vnodes:ring_vnodes ~seed:cfg.seed live in
-  let target_replicas = min r.replicas (List.length live) in
-  let rec repair_rounds round (manifest, unanswered) =
-    let actions =
-      Ring.Repair.plan ~placement:live_placement ~object_id ~replicas:target_replicas ~crcs
-        manifest
-    in
-    if actions = [] then (manifest, unanswered)
-    else if round > 3 then begin
-      if unanswered = [] then
-        violation h
-          (Printf.sprintf "repair did not converge after 3 rounds (%d actions left)"
-             (List.length actions))
-      else
-        line h "repair rounds exhausted on a partial survey (unanswered [%s])"
-          (ints_str unanswered);
-      (manifest, unanswered)
-    end
-    else begin
-      st.verdict <-
-        {
-          st.verdict with
-          repair_rounds = round;
-          repair_actions = st.verdict.repair_actions + List.length actions;
-        };
-      List.iter
-        (fun a -> line h "repair %s" (Format.asprintf "%a" Ring.Repair.pp_action a))
-        actions;
-      let jobs =
-        List.map
-          (fun (a : Ring.Repair.action) ->
-            let offset, bytes =
-              Ring.Client.stripe_bounds ~total:r.object_bytes ~stripes:r.stripes
-                ~index:a.Ring.Repair.stripe
-            in
-            {
-              Ring.Client.stripe = a.Ring.Repair.stripe;
-              replica = -1;
-              server = a.Ring.Repair.server;
-              offset;
-              bytes;
-            })
-          actions
-      in
-      ignore (run_blasts h r ~data ~crcs jobs);
-      repair_rounds (round + 1) (survey h r st)
-    end
-  in
-  let manifest, unanswered = repair_rounds 1 (manifest, unanswered) in
-  let counts = Ring.Manifest.replication manifest ~crcs in
-  line h "replication after repair [%s]" (replication_str counts);
-  let fully_replicated = Array.for_all (fun n -> n >= target_replicas) counts in
-  st.verdict <- { st.verdict with fully_replicated };
+  record_blasts h ~label:"reblast" ~peer:(Net.address ep) ~crcs reblasts;
+  if rounds > 0 then record_survey h last;
+  line h "replication after repair [%s]" (replication_str after);
+  st.verdict <-
+    {
+      st.verdict with
+      quorum_met;
+      repair_actions = List.length reblasts;
+      repair_rounds = rounds;
+      fully_replicated;
+    };
   if not fully_replicated then
-    if unanswered = [] then
+    if unanswered last = [] then
       violation h
-        (Printf.sprintf "repair left the object under-replicated: [%s] (target %d)"
-           (replication_str counts) target_replicas)
+        (Printf.sprintf
+           "repair left the object under-replicated after %d rounds: [%s] (target %d)"
+           rounds (replication_str after) target)
     else
       line h "under-replication verdict skipped: survey partial (unanswered [%s])"
-        (ints_str unanswered);
+        (ints_str (unanswered last));
   st.client_done <- true;
   stop_all h "client done; stopping ring"
 

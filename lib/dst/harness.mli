@@ -13,10 +13,10 @@
     record:
     - {!Senders}: N independent senders, each attempting a few transfers
       against one engine (or a sharded group of them);
-    - {!Ring}: a striped, replicated blast of one object across N engines
-      on their own ports — one {!Sockets.Peer.send_via} process per stripe
-      replica — with the [MREQ]/[MREP] surveys and the re-blasts of
-      {!Ring.Repair} restoring full replication afterwards.
+    - {!Ring}: the serving ring client — {!Ring.Client.put} of one
+      striped, replicated object across N engines on their own ports, then
+      {!Ring.Repair.run} on the live ring — each call on a memnet endpoint
+      of its own.
 
     Each trial of either workload asserts, continuously and at the end:
     - {e verified delivery or clean failure}: every sender finishes with a
@@ -48,12 +48,12 @@
       rounds.
 
     Churn schedules: {!Kill} closes sender endpoints mid-transfer — in a
-    ring, it stops one seeded-random member mid-fan-out, for good;
-    {!Reuse} rebinds the victim's port immediately and throws a colliding
-    [(address, transfer id)] REQ at the engine's flow table; {!Restart}
-    stops the engine with flows in the table and rebinds its port after an
-    outage. {!Mixed} interleaves all three. The ring workload takes
-    {!Steady} or {!Kill} only. *)
+    ring, it stops a member for good mid-put, driven by the put's progress
+    ({!Ring.Client.kill_mid_put}); {!Reuse} rebinds the victim's port
+    immediately and throws a colliding [(address, transfer id)] REQ at the
+    engine's flow table; {!Restart} stops the engine with flows in the
+    table and rebinds its port after an outage. {!Mixed} interleaves all
+    three. The ring workload takes {!Steady} or {!Kill} only. *)
 
 type churn = Steady | Kill | Reuse | Restart | Mixed
 

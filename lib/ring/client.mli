@@ -6,11 +6,11 @@
     {!Placement.replicas} names for [(object_id, stripe index)]. Every
     sub-transfer is a completely ordinary flow — REQ carrying the
     {!Packet.Stripe} framing plus the slice's CRC, then the blast protocol
-    as usual — on its own ephemeral socket, so the receiving engines need
-    nothing ring-specific on the data path. The object is durable under
-    the write-quorum rule: every stripe settled [Success] (hence
-    CRC-verified, {!Sockets.Flow.integrity}) on at least [quorum]
-    replicas. *)
+    as usual — all of them in flight at once on one client loop, so the
+    receiving engines need nothing ring-specific on the data path. The
+    object is durable under the write-quorum rule: every stripe settled
+    [Success] (hence CRC-verified, {!Sockets.Flow.integrity}) on at least
+    [quorum] replicas. *)
 
 type job = {
   stripe : int;
@@ -20,14 +20,11 @@ type job = {
   bytes : int;
 }
 
-val pp_job : Format.formatter -> job -> unit
-
 val stripe_bounds : total:int -> stripes:int -> index:int -> int * int
 (** [(offset, length)] of one stripe. Pure; sender and repair agree by
     construction. Raises [Invalid_argument] when [total < stripes], on a
     non-positive stripe count, or an out-of-range index. *)
 
-val stripe_slice : data:string -> stripes:int -> index:int -> string
 val stripe_crcs : data:string -> stripes:int -> int32 array
 (** Per-stripe CRC-32 of the slices — the validity reference every
     manifest answer is checked against. *)
@@ -39,39 +36,36 @@ val plan :
 
 type blast_result = {
   job : job;
-  outcome : Protocol.Action.outcome;
-  elapsed_ns : int;
+  transfer_id : int;  (** the flow's id on the call's transport *)
+  result : Sockets.Peer.send_result;
 }
 
 val blast :
-  ?ctx:Sockets.Io_ctx.t ->
+  ctx:Sockets.Io_ctx.t ->
   ?packet_bytes:int ->
-  ?tuning:Protocol.Tuning.t ->
-  ?suite:Protocol.Suite.t ->
+  transport:Sockets.Transport.t ->
   peer_of:(int -> Unix.sockaddr) ->
   object_id:int ->
   stripes:int ->
   data:string ->
-  job ->
-  blast_result
-(** One stripe replica to one server, as an ordinary blast flow on its own
-    ephemeral socket — the unit {!put} fans out and {!Repair.run}
-    re-drives at replacement holders. *)
+  first_id:int ->
+  job list ->
+  blast_result list
+(** Every job as one go-back-N flow with {!Packet.Stripe} framing, all at
+    once on one loop ({!Sockets.Peer.send_all_via}), job [k] (from 0) with
+    transfer id [first_id + k]; results in job order. *)
 
 type put_result = {
   results : blast_result list;  (** plan order *)
   acked : int array;  (** per stripe, replicas settled [Success] *)
   quorum_met : bool;  (** every stripe acked by >= quorum replicas *)
-  elapsed_ns : int;  (** wall clock around the whole fan-out *)
+  elapsed_ns : int;  (** [ctx.clock] around the whole fan-out *)
 }
 
 val put :
-  ?pool:Exec.Pool.t ->
-  ?jobs:int ->
   ?ctx:Sockets.Io_ctx.t ->
   ?packet_bytes:int ->
-  ?tuning:Protocol.Tuning.t ->
-  ?suite:Protocol.Suite.t ->
+  transport:Sockets.Transport.t ->
   placement:Placement.t ->
   peer_of:(int -> Unix.sockaddr) ->
   object_id:int ->
@@ -81,10 +75,29 @@ val put :
   data:string ->
   unit ->
   put_result
-(** Blast the whole plan over real UDP, [jobs] sub-transfers in flight at
-    once (an {!Exec.Pool} — default the shared pool's width). [peer_of]
-    maps a ring server id to its datagram address. A dead server costs its
-    jobs a clean [Peer_unreachable] after the handshake gives up; the put
-    still reports [quorum_met] honestly from the survivors. Default suite
-    go-back-N blast. Raises [Invalid_argument] unless
+(** {!blast} of the whole plan from id 1, on [transport] and [ctx]
+    (timers, attempts, clock; default {!Sockets.Io_ctx.default}). Ids
+    restart with every call, so give each call its own transport. [peer_of]
+    maps a ring server id to its address. A dead server costs its jobs a
+    clean failure once their handshake or watchdog gives up; [quorum_met]
+    counts the survivors. Raises [Invalid_argument] unless
     [0 < quorum <= replicas]. *)
+
+val over_udp : (Sockets.Transport.t -> 'a) -> 'a
+(** [f] on a fresh ephemeral UDP socket, closed when [f] returns: the
+    transport of one {!put} or {!Repair.run} over the real network. *)
+
+val kill_mid_put :
+  draw:(int -> int) ->
+  max_attempts:int ->
+  packet_bytes:int ->
+  peer_of:(int -> Unix.sockaddr) ->
+  kill:(int -> unit) ->
+  job list ->
+  Sockets.Transport.t ->
+  Sockets.Transport.t
+(** Churn driven by a put's progress, not a timer: the transport calls
+    [kill victim] just before its [k]-th datagram to [victim], a server of
+    [jobs], with [k] within what the put must send it (per job a REQ and
+    every DATA packet, or [max_attempts] REQs). [draw n] picks in
+    [\[0, n)]: the victim, then [k]. *)

@@ -38,8 +38,6 @@ let record t ~server entries =
           :: others)
     entries
 
-let holders t ~stripe = List.map (fun h -> h.server) t.table.(stripe)
-
 (* A holder counts only if its copy re-reads as the bytes we wrote: the
    CRC is the end-to-end identity of the stripe, not its name. *)
 let valid_holders t ~stripe ~crc =

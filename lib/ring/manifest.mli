@@ -22,9 +22,6 @@ val record : t -> server:int -> Packet.Stripe.entry list -> unit
     with a disagreeing stripe count are ignored; a repeated answer from
     the same server replaces its older claims (newest wins). *)
 
-val holders : t -> stripe:int -> int list
-(** Servers claiming the stripe, whatever bytes they claim. *)
-
 val valid_holders : t -> stripe:int -> crc:int32 -> int list
 (** Servers whose claimed CRC matches the expected one — the replicas
     that count. *)

@@ -3,7 +3,6 @@
 
 type t = {
   seed : int;
-  vnodes : int;
   nodes : int list;  (* distinct, ascending *)
   points : (int * int) array;  (* (ring point, node), ascending *)
 }
@@ -13,9 +12,11 @@ type t = {
    the seed with a tag the point hash never uses. *)
 let key_salt = 0x52494e47 (* "RING" *)
 
-let create ?(vnodes = 64) ~seed nodes =
+(* Virtual points per server. *)
+let vnodes = 64
+
+let create ~seed nodes =
   if nodes = [] then invalid_arg "Placement.create: empty ring";
-  if vnodes <= 0 then invalid_arg "Placement.create: vnodes must be positive";
   let nodes = List.sort_uniq compare nodes in
   let points =
     List.concat_map
@@ -26,17 +27,15 @@ let create ?(vnodes = 64) ~seed nodes =
   (* Ties on the point value (astronomically rare but possible) break by
      node id, so the ring order is a pure function of (seed, nodes). *)
   Array.sort compare points;
-  { seed; vnodes; nodes; points }
+  { seed; nodes; points }
 
 let nodes t = t.nodes
 let size t = List.length t.nodes
-let vnodes t = t.vnodes
-let seed t = t.seed
 
 let remove t node =
   match List.filter (fun n -> n <> node) t.nodes with
   | [] -> invalid_arg "Placement.remove: cannot empty the ring"
-  | rest -> create ~vnodes:t.vnodes ~seed:t.seed rest
+  | rest -> create ~seed:t.seed rest
 
 let key t ~object_id ~stripe =
   Stats.Hash.mix2 ~seed:(t.seed lxor key_salt) object_id stripe

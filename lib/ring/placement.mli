@@ -1,6 +1,6 @@
 (** Consistent-hash stripe placement over a ring of servers.
 
-    Each server contributes [vnodes] points to the ring, hashed from
+    Each server contributes 64 virtual points to the ring, hashed from
     [(seed, node, vnode)] via {!Stats.Hash.mix2} — the same splitmix-style
     mixer behind memnet's REUSEPORT steering, so placement and steering
     share one hash discipline. A stripe's replica set is the first [r]
@@ -18,25 +18,21 @@
 
 type t
 
-val create : ?vnodes:int -> seed:int -> int list -> t
+val create : seed:int -> int list -> t
 (** Ring over the given server ids (deduplicated). Pure function of
-    [(seed, vnodes, nodes)]: equal inputs build identical rings on every
-    host, which is what keeps DST placement replayable. Default 64 virtual
-    nodes per server. Raises [Invalid_argument] on an empty list or
-    non-positive [vnodes]. *)
+    [(seed, nodes)]: equal inputs build identical rings on every host,
+    which is what keeps DST placement replayable. Raises
+    [Invalid_argument] on an empty list. *)
 
 val remove : t -> int -> t
 (** The ring without one server — the live ring a repair pass plans
-    against after a death. Same [seed] and [vnodes], so surviving
-    placements do not move. Raises [Invalid_argument] if it would empty
-    the ring. *)
+    against after a death. Same [seed], so surviving placements do not
+    move. Raises [Invalid_argument] if it would empty the ring. *)
 
 val nodes : t -> int list
 (** Member server ids, ascending. *)
 
 val size : t -> int
-val vnodes : t -> int
-val seed : t -> int
 
 val successors : t -> object_id:int -> stripe:int -> int list
 (** Every server in clockwise preference order from the stripe's key

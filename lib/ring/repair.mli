@@ -13,8 +13,6 @@
 
 type action = { stripe : int; server : int }
 
-val pp_action : Format.formatter -> action -> unit
-
 val plan :
   placement:Placement.t ->
   object_id:int ->
@@ -27,50 +25,43 @@ val plan :
     servers not already holding it, in stripe order. Empty when fully
     replicated. *)
 
-val query_via :
-  ?attempts:int ->
-  ?timeout_ns:int ->
-  clock:(unit -> int) ->
-  transport:Sockets.Transport.t ->
-  peer:Unix.sockaddr ->
-  object_id:int ->
-  unit ->
-  Packet.Stripe.entry list option
-(** One manifest interrogation over an abstract transport: [MREQ] out,
-    wait [timeout_ns] (default 200 ms) for the matching [MREP], retry up
-    to [attempts] (default 5) times; [None] means the server never
-    answered — dead, or partitioned. [clock] must be the transport's
-    notion of time. The DST ring scenario drives exactly this function
-    under virtual time. *)
+type survey = {
+  answered : (int * Packet.Stripe.entry list) list;
+      (** each answering server's manifest entries, in server order *)
+  unresponsive : int list;  (** servers that never answered *)
+}
 
-val query :
-  ?attempts:int ->
-  ?timeout_ns:int ->
-  peer:Unix.sockaddr ->
+val survey :
+  ?ctx:Sockets.Io_ctx.t ->
+  transport:Sockets.Transport.t ->
+  peer_of:(int -> Unix.sockaddr) ->
   object_id:int ->
-  unit ->
-  Packet.Stripe.entry list option
-(** {!query_via} over a fresh ephemeral UDP socket. *)
+  int list ->
+  survey
+(** Interrogates every listed server at once on one loop over [transport]:
+    an [MREQ] to each, resent to the silent ones every 4 retransmit
+    intervals of [ctx.tuning], [max_attempts] times in all. An [MREP] about
+    [object_id] counts as the answer of the server it came from, the first
+    one only, so a late or duplicate answer of one server is never read as
+    another's. [ctx.clock] must be the transport's notion of time. *)
 
 type report = {
-  answered : (int * int) list;  (** (server, entry count) that answered *)
-  unresponsive : int list;  (** servers that never answered the survey *)
-  before : int array;  (** per-stripe valid replicas found by the survey *)
-  actions : (action * Protocol.Action.outcome) list;  (** re-blasts and their outcomes *)
+  first : survey;  (** before any re-blast *)
+  before : int array;  (** per-stripe valid replicas, as first surveyed *)
+  rounds : int;  (** re-blast rounds run, at most 3 *)
+  reblasts : Client.blast_result list;
+      (** every round's re-blasts in order; [replica] is [-1] *)
+  last : survey;  (** the closing survey, which grounds the verdict *)
   after : int array;  (** per-stripe valid replicas on the closing survey *)
-  fully_replicated : bool;  (** every stripe at [replicas] on re-survey *)
-  elapsed_ns : int;
+  target : int;  (** [min replicas (live members)] *)
+  fully_replicated : bool;  (** every stripe at [target] on the closing survey *)
+  elapsed_ns : int;  (** [ctx.clock] around the whole pass *)
 }
 
 val run :
-  ?pool:Exec.Pool.t ->
-  ?jobs:int ->
   ?ctx:Sockets.Io_ctx.t ->
   ?packet_bytes:int ->
-  ?tuning:Protocol.Tuning.t ->
-  ?suite:Protocol.Suite.t ->
-  ?attempts:int ->
-  ?timeout_ns:int ->
+  transport:Sockets.Transport.t ->
   placement:Placement.t ->
   peer_of:(int -> Unix.sockaddr) ->
   object_id:int ->
@@ -79,9 +70,12 @@ val run :
   data:string ->
   unit ->
   report
-(** The whole pass over real UDP: survey every member of [placement],
-    plan, re-blast concurrently over the {!Exec.Pool}, then survey again —
-    the verdict ([after], [fully_replicated]) comes from the ring's own
-    answers, never from the blasts' view of themselves. [placement] should
-    be the live ring: pass the full ring {!Placement.remove}d of known-dead
-    members so successors skip them. *)
+(** The whole pass on one transport and clock: survey every member of
+    [placement], then up to 3 rounds of plan against [target], re-blast
+    (all of a round's jobs at once, {!Client.blast}) and re-survey. The
+    verdict ([after], [fully_replicated]) comes from the ring's own
+    answers, never from the blasts' view of themselves. Re-blast ids run
+    1, 2, ... across the rounds, so, as for {!Client.put}, give each call
+    its own transport. [placement] should be the live ring: pass the full
+    ring {!Placement.remove}d of known-dead members so successors skip
+    them. *)

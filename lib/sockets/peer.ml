@@ -19,18 +19,19 @@ type receive_result = {
           idle watchdog aborted because the sender went silent *)
 }
 
-(* An endpoint's telemetry: journal timestamps from the context clock, and
-   the fault pipeline reporting into the endpoint's counters and lane. *)
+type transfer = {
+  peer : Unix.sockaddr;
+  transfer_id : int;
+  stripe : Packet.Stripe.t option;
+  suite : Protocol.Suite.t;
+  data : string;
+}
+
+(* One flow's telemetry: journal timestamps from the context clock. *)
 let instrument ~lane (ctx : Io_ctx.t) =
   let counters = Protocol.Counters.create () in
   Option.iter (fun r -> Obs.Recorder.set_clock r ctx.Io_ctx.clock) ctx.Io_ctx.recorder;
-  let probe = Obs.Probe.create ?recorder:ctx.Io_ctx.recorder ~lane ~counters () in
-  Option.iter
-    (fun netem ->
-      Faults.Netem.attach_counters netem counters;
-      Faults.Netem.set_observer netem (Obs.Probe.fault probe))
-    ctx.Io_ctx.faults;
-  (counters, probe)
+  (counters, Obs.Probe.create ?recorder:ctx.Io_ctx.recorder ~lane ~counters ())
 
 let publish_metrics (ctx : Io_ctx.t) ~side ?elapsed_ns counters =
   Option.iter
@@ -43,57 +44,88 @@ let publish_metrics (ctx : Io_ctx.t) ~side ?elapsed_ns counters =
         elapsed_ns)
     ctx.Io_ctx.metrics
 
-(* One flow on one loop. The loop asks for the flow's own next deadline,
-   ticks it once per wakeup and hands it one datagram per wakeup; pacing is
-   an inline sleep after each DATA datagram, at the gap the flow asks for.
-   A receiver has no flow until [accept] admits a REQ, or [accept_deadline]
-   passes. Held-back (reordered) emissions die with the endpoint. *)
+(* A flow on the loop, with the peer it talks to and when it settled. *)
+type entry = { flow : Flow.t; peer : Unix.sockaddr; mutable settled_ns : int option }
+
+(* Many flows on one loop. The loop asks for the earliest of their
+   deadlines, ticks every flow once per wakeup and hands over one datagram
+   per wakeup, routed by its source: to the flow keyed by (source, transfer
+   id), else to every flow of that source as foreign traffic; manifest
+   traffic is never a flow's. Pacing is an inline sleep after each DATA
+   datagram, at the gap its flow asks for. A responder starts with no flow:
+   [accept] admits one from a REQ, or [accept_deadline] passes. What no
+   flow's source sent is counted on [probe]/[counters], which also carry the
+   fault pipeline's injections. Held-back (reordered) emissions die with
+   the endpoint. *)
 let drive (ctx : Io_ctx.t) ~(transport : Transport.t) ~probe ~counters ?accept_deadline
-    ?(accept = fun ~now:_ _ -> None) start =
+    ?(accept = fun ~now:_ _ -> None) started =
+  Option.iter
+    (fun netem ->
+      Faults.Netem.attach_counters netem counters;
+      Faults.Netem.set_observer netem (Obs.Probe.fault probe))
+    ctx.Io_ctx.faults;
   let loop = Loop.create ~clock:ctx.Io_ctx.clock transport in
-  let slot = ref None and gone = ref false in
-  let execute (f, peer) actions =
+  let entries = ref [] and gone = ref false in
+  let execute e actions =
+    let probe = Flow.probe e.flow in
     List.iter
       (fun (Flow.Transmit m) ->
-        Loop.transmit loop ?faults:ctx.Io_ctx.faults ~probe ~peer m;
+        Loop.transmit loop ?faults:ctx.Io_ctx.faults ~probe ~peer:e.peer m;
         if m.Packet.Message.kind = Packet.Kind.Data then
-          let gap = Flow.pacing_gap f in
+          let gap = Flow.pacing_gap e.flow in
           if gap > 0 then transport.Transport.sleep_ns gap)
-      actions
+      actions;
+    if e.settled_ns = None && Flow.next_deadline e.flow = None then
+      e.settled_ns <- Some (ctx.Io_ctx.clock ())
   in
-  let admit peer (f, actions) =
-    slot := Some (f, peer);
-    execute (f, peer) actions
+  let admit peer (flow, actions) =
+    let e = { flow; peer; settled_ns = None } in
+    entries := !entries @ [ e ];
+    execute e actions
   in
-  Option.iter (fun (peer, started) -> admit peer started) start;
+  List.iter (fun (peer, started) -> admit peer started) started;
   let receive ~now { Transport.buf; pos; len; from } =
-    match (Packet.Codec.decode_sub buf ~pos ~len, !slot) with
-    | Error reason, Some ((f, _) as s) -> execute s (Flow.on_garbage f ~now reason)
-    | Error reason, None -> Flow.count_garbage ~probe counters reason
-    | Ok m, Some ((f, _) as s) -> execute s (Flow.on_message f ~now m)
-    | Ok m, None -> Option.iter (admit from) (accept ~now m)
+    let mine = List.filter (fun e -> e.peer = from) !entries in
+    match Packet.Codec.decode_sub buf ~pos ~len with
+    | Error reason when mine = [] -> Flow.count_garbage ~probe counters reason
+    | Error r -> List.iter (fun e -> execute e (Flow.on_garbage e.flow ~now r)) mine
+    | Ok { Packet.Message.kind = Packet.Kind.Mreq | Packet.Kind.Mrep; _ } -> ()
+    | Ok m -> (
+        let id = m.Packet.Message.transfer_id in
+        match List.find_opt (fun e -> Flow.transfer_id e.flow = id) mine with
+        | Some e -> execute e (Flow.on_message e.flow ~now m)
+        | None when !entries = [] -> Option.iter (admit from) (accept ~now m)
+        | None -> List.iter (fun e -> execute e (Flow.on_message e.flow ~now m)) mine)
+  in
+  let earliest acc e =
+    match (acc, Flow.next_deadline e.flow) with
+    | None, d | d, None -> d
+    | Some a, Some b -> Some (min a b)
   in
   Loop.run loop
     {
       Loop.next_deadline =
         (fun () ->
-          match !slot with Some (f, _) -> Flow.next_deadline f | None -> accept_deadline);
+          match !entries with
+          | [] -> accept_deadline
+          | es -> List.fold_left earliest None es);
       due =
         (fun ~now ->
-          match (!slot, accept_deadline) with
-          | Some ((f, _) as s), _ -> execute s (Flow.on_tick f ~now)
-          | None, Some d -> if d - now <= 0 then gone := true
-          | None, None -> ());
+          match (!entries, accept_deadline) with
+          | [], Some d -> if d - now <= 0 then gone := true
+          | [], None -> ()
+          | es, _ -> List.iter (fun e -> execute e (Flow.on_tick e.flow ~now)) es);
       receive;
       finished =
         (fun () ->
-          match !slot with Some (f, _) -> Flow.next_deadline f = None | None -> !gone);
+          match !entries with
+          | [] -> !gone
+          | es -> List.for_all (fun e -> e.settled_ns <> None) es);
     };
   Option.iter
     (fun netem -> ignore (Faults.Netem.flush netem : Faults.Netem.emission list))
     ctx.Io_ctx.faults;
-  Option.bind !slot (fun (f, _) ->
-      match Flow.status f with `Done c -> Some (f, c) | `Running | `Lingering -> None)
+  !entries
 
 (* A one-transfer endpoint that ends in failure dumps its flight ring, so the
    last datagrams before the failure survive the run. An engine's flows share
@@ -107,22 +139,43 @@ let dump_on_failure probe ~side outcome =
            ~reason:(Format.asprintf "%s: %a" side Protocol.Action.pp_outcome outcome)
           : string option)
 
-let send_via ?ctx ?transfer_id ?(packet_bytes = 1024) ?rtt ?idle_timeout_ns ?stripe
-    ~transport ~peer ~suite ~data () =
+let send_all_via ?ctx ?(packet_bytes = 1024) ?rtt ?idle_timeout_ns ~transport transfers =
   let ctx = match ctx with Some c -> c | None -> Io_ctx.default () in
+  let start (t : transfer) =
+    let counters, probe = instrument ~lane:"sender" ctx in
+    ( t.peer,
+      Flow.initiate ?rtt ?idle_timeout_ns ?stripe:t.stripe ~tuning:ctx.Io_ctx.tuning
+        ~packet_bytes ~suite:t.suite ~transfer_id:t.transfer_id ~probe ~counters
+        ~now:(ctx.Io_ctx.clock ()) t.data )
+  in
+  match List.map start transfers with
+  | [] -> []
+  | (_, (first, _)) :: _ as started ->
+      (* The first flow's telemetry doubles as the endpoint's. *)
+      drive ctx ~transport ~probe:(Flow.probe first) ~counters:(Flow.counters first) started
+      |> List.map (fun e ->
+             let outcome =
+               match Flow.status e.flow with
+               | `Done c -> c.Flow.outcome
+               | `Running | `Lingering -> assert false
+             in
+             dump_on_failure (Flow.probe e.flow) ~side:"send" outcome;
+             let elapsed_ns = Option.get e.settled_ns - Flow.started_ns e.flow in
+             let counters = Flow.counters e.flow in
+             publish_metrics ctx ~side:"sender" ~elapsed_ns counters;
+             { outcome; elapsed_ns; counters; adaptive = Flow.adaptive e.flow })
+
+let send_via ?ctx ?transfer_id ?packet_bytes ?rtt ?idle_timeout_ns ?stripe ~transport ~peer
+    ~suite ~data () =
   let transfer_id =
     match transfer_id with Some id -> id | None -> Protocol.Config.fresh_transfer_id ()
   in
-  let counters, probe = instrument ~lane:"sender" ctx in
-  let started =
-    Flow.initiate ?rtt ?idle_timeout_ns ?stripe ~tuning:ctx.Io_ctx.tuning ~packet_bytes
-      ~suite ~transfer_id ~probe ~counters ~now:(ctx.Io_ctx.clock ()) data
-  in
-  let flow, c = Option.get (drive ctx ~transport ~probe ~counters (Some (peer, started))) in
-  dump_on_failure probe ~side:"send" c.Flow.outcome;
-  let elapsed_ns = ctx.Io_ctx.clock () - Flow.started_ns flow in
-  publish_metrics ctx ~side:"sender" ~elapsed_ns counters;
-  { outcome = c.Flow.outcome; elapsed_ns; counters; adaptive = Flow.adaptive flow }
+  match
+    send_all_via ?ctx ?packet_bytes ?rtt ?idle_timeout_ns ~transport
+      [ { peer; transfer_id; stripe; suite; data } ]
+  with
+  | [ result ] -> result
+  | _ -> assert false
 
 let send ?ctx ?transfer_id ?packet_bytes ?rtt ?idle_timeout_ns ?stripe ~socket ~peer ~suite
     ~data () =
@@ -151,11 +204,11 @@ let serve_one ?ctx ?idle_timeout_ns ?accept_timeout_ns ?suite ~socket () =
   let settled =
     drive ctx ~transport ~probe ~counters
       ?accept_deadline:(Option.map (fun ns -> clock () + ns) accept_timeout_ns)
-      ~accept None
+      ~accept []
   in
   publish_metrics ctx ~side:"receiver" counters;
-  match settled with
-  | Some (_, c) ->
+  match List.map (fun e -> Flow.status e.flow) settled with
+  | [ `Done c ] ->
       dump_on_failure probe ~side:"flow" c.Flow.outcome;
       {
         data = c.Flow.data;
@@ -164,7 +217,7 @@ let serve_one ?ctx ?idle_timeout_ns ?accept_timeout_ns ?suite ~socket () =
         integrity = c.Flow.integrity;
         receive_outcome = c.Flow.outcome;
       }
-  | None ->
+  | _ ->
       Obs.Probe.complete probe Protocol.Action.Peer_unreachable;
       ignore (Obs.Probe.postmortem probe ~reason:"serve_one: peer unreachable" : string option);
       {

@@ -20,7 +20,9 @@
     Each end is one sans-IO {!Flow} — initiating under {!send}, responding
     under {!serve_one} — driven by a {!Loop}: the loop waits for the flow's
     own next deadline, ticks it once per wakeup, hands it one datagram per
-    wakeup, and puts netem-delayed emissions on its timer. With
+    wakeup, and puts netem-delayed emissions on its timer. {!send_all_via}
+    runs many initiating flows on one such loop, one transport and one
+    clock; {!send_via} is its one-flow case. With
     [ctx.tuning = Adaptive _] the handshake negotiates AIMD trains with a
     receiver-advertised budget, falling back to fixed trains against a
     v1-only receiver (see {!Flow.initiate}).
@@ -67,6 +69,38 @@ type receive_result = {
           idle watchdog (or accept timeout) aborted the wait *)
 }
 
+type transfer = {
+  peer : Unix.sockaddr;
+  transfer_id : int;
+  stripe : Packet.Stripe.t option;
+  suite : Protocol.Suite.t;
+  data : string;
+}
+(** One initiating flow of {!send_all_via}: {!send}'s arguments. *)
+
+val send_all_via :
+  ?ctx:Io_ctx.t ->
+  ?packet_bytes:int ->
+  ?rtt:Protocol.Rtt.t ->
+  ?idle_timeout_ns:int ->
+  transport:Transport.t ->
+  transfer list ->
+  send_result list
+(** Every transfer as its own initiating {!Flow}, all in flight at once on
+    one {!Loop} over [transport] and [ctx.clock]: one result per transfer,
+    in order, each with its own counters and probe, timed to its own
+    settling. [rtt], if given, is shared. Nothing outlives the call.
+
+    The loop ticks every flow per wakeup and hands over one datagram,
+    routed by source: to the flow keyed by (source, transfer id), else to
+    every flow of that source as foreign traffic — a handshake attempt, or
+    a watchdog reset, as on a socket of its own — so a silent peer trips
+    its flows' watchdogs however busy the others are. Manifest datagrams
+    reach no flow. Ids must differ per peer, and replies must come from the
+    address their flow sends to. Datagrams from no flow's source, and
+    [ctx.faults]' injections, count on the first flow. Pacing sleeps
+    inline, so one paced flow's gap delays every flow on the loop. *)
+
 val send_via :
   ?ctx:Io_ctx.t ->
   ?transfer_id:int ->
@@ -80,12 +114,12 @@ val send_via :
   data:string ->
   unit ->
   send_result
-(** {!send} against an abstract {!Transport.t}: everything but the socket.
-    [ctx.clock] must be the transport's notion of time (virtual time for a
-    memnet transport); [ctx.batch] is ignored, the transport already decided
-    how it sends. This is the entry point the deterministic-simulation
-    harness drives over an in-memory network, where a closed endpoint's
-    [Memnet.Net.Closed] propagates out. *)
+(** {!send} against an abstract {!Transport.t}: everything but the socket;
+    {!send_all_via} with one transfer. [ctx.clock] must be the transport's
+    notion of time (virtual time for a memnet transport); [ctx.batch] is
+    ignored, the transport already decided how it sends. This is the entry
+    point the deterministic-simulation harness drives over an in-memory
+    network, where a closed endpoint's [Memnet.Net.Closed] propagates out. *)
 
 val send :
   ?ctx:Io_ctx.t ->
@@ -141,7 +175,9 @@ val serve_one :
     (budget-stamped) REQ is always honoured — see {!Flow.create}.
 
     Blocks until a [REQ] arrives unless [accept_timeout_ns] is given. Once a
-    transfer is underway, a sender that goes silent for [idle_timeout_ns]
+    transfer is underway only its sender's datagrams reach it: those from
+    other sources are dropped (undecodable ones counted in
+    [receive_counters]). A sender that goes silent for [idle_timeout_ns]
     (default [max_attempts * retransmit_ns]) trips the watchdog and the call
     returns with [receive_outcome = Peer_unreachable] — [serve_one] can no
     longer block indefinitely on a dead sender.

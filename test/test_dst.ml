@@ -557,6 +557,142 @@ let test_dst_golden_digests () =
         pins trials)
     golden_trials
 
+(* ------------------------------------------------------------ client loop *)
+
+let go_back_n = Protocol.Suite.Blast Protocol.Blast.Go_back_n
+
+let transfer ?(suite = go_back_n) ~peer ~id bytes =
+  {
+    Sockets.Peer.peer;
+    transfer_id = id;
+    stripe = None;
+    suite;
+    data = String.init bytes (fun i -> Char.chr ((i * id) land 0xFF));
+  }
+
+(* Three flows on one client loop: two to engine A — one of them a long
+   stop-and-wait exchange, a datagram from A every round trip for ~100 ms —
+   and one to engine B, which dies just before the client's first DATA to
+   it. B's flow has its ACK and nothing after it, so its idle watchdog must
+   trip on time, however busy A keeps the shared endpoint. *)
+let test_client_loop_dead_peer_trips_watchdog () =
+  let sim = Sim.create () in
+  let net = Net.create ~sim ~seed:3 () in
+  let clock () = Time.to_ns (Sim.now sim) in
+  let tuning = Protocol.Tuning.fixed ~retransmit_ns:50_000_000 () in
+  let ctx = Sockets.Io_ctx.make ~clock ~tuning () in
+  let env = Proc.env sim in
+  let engine port =
+    let ep = Net.bind ~port net in
+    let e = Server.Engine.create ~ctx ~transport:(Net.transport ep) () in
+    Proc.spawn env (fun () ->
+        Server.Engine.run e;
+        Net.close ep);
+    (e, Net.address ep)
+  in
+  let a, a_addr = engine 7_401 and b, b_addr = engine 7_402 in
+  let idle_timeout_ns = 20_000_000 in
+  let results = ref [] in
+  Proc.spawn env (fun () ->
+      let ep = Net.bind net in
+      let transport = Net.transport ep in
+      let to_b = ref 0 in
+      let send ~peer ~on_outcome bytes =
+        if peer = b_addr then begin
+          incr to_b;
+          if !to_b = 2 then Server.Engine.stop b
+        end;
+        transport.Sockets.Transport.send ~peer ~on_outcome bytes
+      in
+      results :=
+        Sockets.Peer.send_all_via ~ctx ~packet_bytes:64 ~idle_timeout_ns
+          ~transport:{ transport with Sockets.Transport.send }
+          [
+            transfer ~suite:Protocol.Suite.Stop_and_wait ~peer:a_addr ~id:1 64_000;
+            transfer ~peer:a_addr ~id:2 4_096;
+            transfer ~peer:b_addr ~id:3 64_000;
+          ];
+      Server.Engine.stop a);
+  Sim.run ~until:(Time.of_ns 5_000_000_000) sim;
+  match !results with
+  | [ long; short; dead ] ->
+      let ok label (r : Sockets.Peer.send_result) =
+        Alcotest.(check bool) label true (r.Sockets.Peer.outcome = Protocol.Action.Success)
+      in
+      ok "A's stop-and-wait flow succeeds" long;
+      ok "A's blast succeeds" short;
+      Alcotest.(check bool) "B's flow is unreachable" true
+        (dead.Sockets.Peer.outcome = Protocol.Action.Peer_unreachable);
+      Alcotest.(check int) "B's watchdog trips one idle timeout after its ACK"
+        idle_timeout_ns dead.Sockets.Peer.elapsed_ns;
+      Alcotest.(check bool) "A stayed busy past B's watchdog" true
+        (long.Sockets.Peer.elapsed_ns > 2 * idle_timeout_ns)
+  | l -> Alcotest.failf "expected 3 results, got %d" (List.length l)
+
+(* Peer P answers its first REQ with a datagram under an id no flow owns;
+   peer Q never answers. The stray reaches both of P's flows, each losing a
+   handshake attempt to it, and none of Q's. *)
+let test_client_loop_unowned_id_stays_with_its_source () =
+  let sim = Sim.create () in
+  let net = Net.create ~sim ~seed:4 () in
+  let clock () = Time.to_ns (Sim.now sim) in
+  let retransmit_ns = 5_000_000 and max_attempts = 4 in
+  let tuning = Protocol.Tuning.fixed ~retransmit_ns ~max_attempts () in
+  let ctx = Sockets.Io_ctx.make ~clock ~tuning () in
+  let env = Proc.env sim in
+  let p = Net.bind ~port:7_411 net and q = Net.bind ~port:7_412 net in
+  let reqs = Hashtbl.create 2 in
+  let listen ep ~answer =
+    Proc.spawn env (fun () ->
+        let transport = Net.transport ep in
+        let rec serve () =
+          match transport.Sockets.Transport.recv ~timeout_ns:None with
+          | `Timeout -> serve ()
+          | `Datagram { Sockets.Transport.from; _ } ->
+              let port = Net.port ep in
+              let seen = 1 + Option.value ~default:0 (Hashtbl.find_opt reqs port) in
+              Hashtbl.replace reqs port seen;
+              if answer && seen = 1 then
+                transport.Sockets.Transport.send ~peer:from ~on_outcome:ignore
+                  (Packet.Codec.encode
+                     (Packet.Message.ack ~transfer_id:99 ~seq:0 ~total:1));
+              serve ()
+        in
+        try serve () with Net.Closed _ -> ())
+  in
+  listen p ~answer:true;
+  listen q ~answer:false;
+  let results = ref [] in
+  Proc.spawn env (fun () ->
+      let ep = Net.bind net in
+      results :=
+        Sockets.Peer.send_all_via ~ctx ~transport:(Net.transport ep)
+          [
+            transfer ~peer:(Net.address p) ~id:1 2_048;
+            transfer ~peer:(Net.address q) ~id:2 2_048;
+            transfer ~peer:(Net.address p) ~id:3 2_048;
+          ];
+      Net.close p;
+      Net.close q);
+  Sim.run ~until:(Time.of_ns 1_000_000_000) sim;
+  let full = max_attempts * retransmit_ns in
+  match !results with
+  | [ p1; q2; p3 ] ->
+      List.iter
+        (fun (label, (r : Sockets.Peer.send_result)) ->
+          Alcotest.(check bool) (label ^ " is unreachable") true
+            (r.Sockets.Peer.outcome = Protocol.Action.Peer_unreachable))
+        [ ("P's first flow", p1); ("Q's flow", q2); ("P's second flow", p3) ];
+      Alcotest.(check int) "Q's flow spends every attempt on its own timer" full
+        q2.Sockets.Peer.elapsed_ns;
+      Alcotest.(check bool) "P's first flow lost an attempt to the stray" true
+        (p1.Sockets.Peer.elapsed_ns < full - (retransmit_ns / 2));
+      Alcotest.(check bool) "P's second flow lost an attempt to the stray" true
+        (p3.Sockets.Peer.elapsed_ns < full - (retransmit_ns / 2));
+      Alcotest.(check int) "Q saw one REQ per attempt" max_attempts
+        (Hashtbl.find reqs (Net.port q))
+  | l -> Alcotest.failf "expected 3 results, got %d" (List.length l)
+
 let () =
   Alcotest.run "dst"
     [
@@ -593,6 +729,13 @@ let () =
           Alcotest.test_case "an empty suite axis is refused" `Quick
             test_dst_rejects_empty_suites;
           Alcotest.test_case "journals match golden digests" `Quick test_dst_golden_digests;
+        ] );
+      ( "client loop",
+        [
+          Alcotest.test_case "a dead peer's flow trips its watchdog" `Quick
+            test_client_loop_dead_peer_trips_watchdog;
+          Alcotest.test_case "an unowned id stays with its source's flows" `Quick
+            test_client_loop_unowned_id_stays_with_its_source;
         ] );
       ("validate", List.map refusal_case refusals);
     ]

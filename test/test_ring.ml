@@ -253,6 +253,7 @@ let test_engine_manifest_over_memnet () =
   in
   let data = String.init 3_000 (fun i -> Char.chr ((i * 7) land 0xff)) in
   let crc = Packet.Checksum.crc32_string data in
+  let tuning = Protocol.Tuning.fixed ~retransmit_ns:5_000_000 ~max_attempts:10 () in
   let survey = ref None in
   let env = Proc.env sim in
   Proc.spawn env (fun () -> Server.Engine.run engine);
@@ -273,27 +274,100 @@ let test_engine_manifest_over_memnet () =
       Alcotest.(check bool) "striped blast succeeds" true
         (result.Sockets.Peer.outcome = Protocol.Action.Success);
       Net.close ep;
-      (* Interrogate over the wire, exactly as repair would. *)
+      (* Interrogate over the wire, exactly as repair does. *)
       let qep = Net.bind net in
       survey :=
-        Ring.Repair.query_via ~attempts:3 ~timeout_ns:20_000_000 ~clock
-          ~transport:(Net.transport qep) ~peer:(Net.address server_ep)
-          ~object_id:31 ();
+        Some
+          (Ring.Repair.survey
+             ~ctx:(Sockets.Io_ctx.make ~clock ~tuning ())
+             ~transport:(Net.transport qep)
+             ~peer_of:(fun _ -> Net.address server_ep)
+             ~object_id:31 [ 0 ]);
       Net.close qep;
       Server.Engine.stop engine);
   Sim.run ~until:(Time.of_ns 2_000_000_000) sim;
   (match !survey with
-  | Some [ e ] ->
+  | Some { Ring.Repair.answered = [ (0, [ e ]) ]; unresponsive = [] } ->
       Alcotest.(check int) "stripe index" 2 e.Packet.Stripe.stripe.Packet.Stripe.index;
       Alcotest.(check int) "stripe count" 5 e.Packet.Stripe.stripe.Packet.Stripe.count;
       Alcotest.(check int) "bytes" 3_000 e.Packet.Stripe.bytes;
       Alcotest.(check bool) "crc matches the blasted bytes" true
         (e.Packet.Stripe.crc = crc)
-  | Some l -> Alcotest.failf "expected one manifest entry, got %d" (List.length l)
-  | None -> Alcotest.fail "manifest query went unanswered");
+  | Some { Ring.Repair.answered = [ (0, l) ]; _ } ->
+      Alcotest.failf "expected one manifest entry, got %d" (List.length l)
+  | Some _ | None -> Alcotest.fail "manifest query went unanswered");
   Alcotest.(check int) "engine manifest size" 1 (Server.Engine.manifest_size engine);
   Alcotest.(check (list string)) "engine invariants" []
     (Server.Engine.invariant_violations engine)
+
+(* All of a survey's MREQs share one endpoint, so an answer is the answering
+   server's only by its source: server 0 answers every MREQ twice, the copy
+   late enough to land while the survey still waits on server 1, which
+   answers only its second MREQ. The copy must not pass for server 1's. *)
+let test_survey_matches_answers_by_source () =
+  let sim = Sim.create () in
+  let net = Net.create ~sim ~seed:6 () in
+  let clock () = Time.to_ns (Sim.now sim) in
+  let env = Proc.env sim in
+  let entry index =
+    { Packet.Stripe.stripe = { Packet.Stripe.object_id = 5; index; count = 4 }; bytes = 100;
+      crc = Int32.of_int index }
+  in
+  let server ~port ~skip ~copy_after_ns index =
+    let ep = Net.bind ~port net in
+    let transport = Net.transport ep in
+    let reply =
+      Packet.Codec.encode (Packet.Stripe.manifest_reply ~object_id:5 [ entry index ])
+    in
+    let answer peer = transport.Sockets.Transport.send ~peer ~on_outcome:ignore reply in
+    Proc.spawn env (fun () ->
+        let rec serve seen =
+          match transport.Sockets.Transport.recv ~timeout_ns:None with
+          | `Timeout -> serve seen
+          | `Datagram { Sockets.Transport.from; _ } ->
+              if seen >= skip then begin
+                answer from;
+                Option.iter
+                  (fun ns ->
+                    Proc.spawn env (fun () ->
+                        Proc.sleep (Time.span_ns ns);
+                        answer from))
+                  copy_after_ns
+              end;
+              serve (seen + 1)
+        in
+        try serve 0 with Net.Closed _ -> ());
+    ep
+  in
+  let a = server ~port:7_301 ~skip:0 ~copy_after_ns:(Some 2_000_000) 0 in
+  let b = server ~port:7_302 ~skip:1 ~copy_after_ns:None 1 in
+  let result = ref None in
+  Proc.spawn env (fun () ->
+      let ep = Net.bind net in
+      result :=
+        Some
+          (Ring.Repair.survey
+             ~ctx:
+               (Sockets.Io_ctx.make ~clock
+                  ~tuning:
+                    (Protocol.Tuning.fixed ~retransmit_ns:1_000_000 ~max_attempts:3 ())
+                  ())
+             ~transport:(Net.transport ep)
+             ~peer_of:(fun s -> Net.address (if s = 0 then a else b))
+             ~object_id:5 [ 0; 1 ]);
+      Net.close a;
+      Net.close b);
+  Sim.run ~until:(Time.of_ns 1_000_000_000) sim;
+  match !result with
+  | Some { Ring.Repair.answered; unresponsive } ->
+      Alcotest.(check (list (pair int (list int))))
+        "each server's own entries" [ (0, [ 0 ]); (1, [ 1 ]) ]
+        (List.map
+           (fun (s, es) ->
+             (s, List.map (fun e -> e.Packet.Stripe.stripe.Packet.Stripe.index) es))
+           answered);
+      Alcotest.(check (list int)) "nobody unresponsive" [] unresponsive
+  | None -> Alcotest.fail "the survey never returned"
 
 (* ------------------------------------------------------------- DST trials *)
 
@@ -349,14 +423,44 @@ let test_ring_dst_jobs_invariant () =
   Alcotest.(check (list string)) "same digests at jobs=1 and jobs=4" (digests 1)
     (digests 4)
 
+(* The kill rides the put's own progress, not a timer: in every trial it
+   lands before the put returns and costs it at least one blast, on a clean
+   wire (where the put settles within a millisecond) as under faults. *)
+let test_ring_dst_kill_lands_mid_put () =
+  List.iter
+    (fun scenario ->
+      let faults = if Faults.Scenario.is_clean scenario then None else Some scenario in
+      for seed = 1 to 10 do
+        let t = Dst.Harness.run (ring_config ~seed ~faults) in
+        let label = Printf.sprintf "%s seed %d" (Faults.Scenario.name scenario) seed in
+        let rec scan killed = function
+          | [] -> Alcotest.failf "%s: no put end" label
+          | l :: rest when Str_exists.contains_substring l "] churn kill server=" ->
+              scan true rest
+          | l :: rest -> (
+              match String.index_opt l ']' with
+              | Some i when Str_exists.contains_substring l "] put end " ->
+                  Scanf.sscanf
+                    (String.sub l (i + 2) (String.length l - i - 2))
+                    "put end ok=%d failed=%d"
+                    (fun _ failed ->
+                      let check what = Alcotest.(check bool) (label ^ ": " ^ what) true in
+                      check "killed before the put returned" killed;
+                      check "the kill cost a blast" (failed > 0))
+              | _ -> scan killed rest)
+        in
+        scan false (String.split_on_char '\n' t.Dst.Harness.journal)
+      done)
+    [ Faults.Scenario.clean; Faults.Scenario.lossy2; Faults.Scenario.chaos ]
+
 (* Golden digests: the ring trial's journal pinned, so a refactor of the
    engine or its hosts has to replay it byte for byte. *)
 let test_ring_dst_golden_digests () =
   let pins =
     [
-      (1, "68ea02b2518e8f23b51da4111d0f7d7c");
-      (2, "36e1e0fa813a8a056fb3c41badc36f95");
-      (3, "9dc0d426dbef9c06c388ab01e1484f2e");
+      (1, "d99545bf6e9f898347c6ec0425f4d2ef");
+      (2, "13f6b746f7d0219e5023531e337939eb");
+      (3, "56b3520ec5c7d47e501e5f69aeec9028");
     ]
   in
   let trials =
@@ -445,11 +549,15 @@ let test_fleet_put_kill_repair () =
       let placement = Ring.Placement.create ~seed (Server.Group.alive fleet) in
       let peer_of = Server.Group.address fleet in
       let data = String.init 16_384 (fun i -> Char.chr ((i * 131) land 0xff)) in
+      let ctx max_attempts =
+        Sockets.Io_ctx.make
+          ~tuning:(Protocol.Tuning.fixed ~retransmit_ns:10_000_000 ~max_attempts ())
+          ()
+      in
       let put =
-        Ring.Client.put
-          ~tuning:(Protocol.Tuning.fixed ~retransmit_ns:10_000_000 ~max_attempts:20 ())
-          ~placement
-          ~peer_of ~object_id:9 ~stripes:4 ~replicas:2 ~quorum:2 ~data ()
+        Ring.Client.over_udp (fun transport ->
+            Ring.Client.put ~ctx:(ctx 20) ~transport ~placement ~peer_of ~object_id:9
+              ~stripes:4 ~replicas:2 ~quorum:2 ~data ())
       in
       Alcotest.(check bool) "write quorum met" true put.Ring.Client.quorum_met;
       (* The fleet's merged snapshot sees every stripe replica. *)
@@ -465,11 +573,9 @@ let test_fleet_put_kill_repair () =
         (Server.Group.alive fleet);
       let live = Ring.Placement.create ~seed (Server.Group.alive fleet) in
       let report =
-        Ring.Repair.run
-          ~tuning:(Protocol.Tuning.fixed ~retransmit_ns:10_000_000 ~max_attempts:5 ())
-          ~attempts:3
-          ~timeout_ns:100_000_000 ~placement:live ~peer_of ~object_id:9
-          ~stripes:4 ~replicas:2 ~data ()
+        Ring.Client.over_udp (fun transport ->
+            Ring.Repair.run ~ctx:(ctx 5) ~transport ~placement:live ~peer_of ~object_id:9
+              ~stripes:4 ~replicas:2 ~data ())
       in
       Alcotest.(check bool) "repair restores full replication" true
         report.Ring.Repair.fully_replicated;
@@ -515,6 +621,8 @@ let () =
         [
           Alcotest.test_case "manifest over memnet" `Quick
             test_engine_manifest_over_memnet;
+          Alcotest.test_case "survey matches answers by source" `Quick
+            test_survey_matches_answers_by_source;
         ] );
       ( "dst",
         [
@@ -523,6 +631,8 @@ let () =
             test_ring_dst_every_scenario;
           Alcotest.test_case "digests invariant under jobs" `Quick
             test_ring_dst_jobs_invariant;
+          Alcotest.test_case "the kill lands mid-put" `Quick
+            test_ring_dst_kill_lands_mid_put;
           Alcotest.test_case "journals match golden digests" `Quick
             test_ring_dst_golden_digests;
           Alcotest.test_case "clean steady ring under the full oracle" `Quick
