@@ -569,15 +569,16 @@ let resolve_scenario = function
           exit 2
     end
 
-(* [--inject-loss p] as the endpoint's fault pipeline: an iid drop on every
-   outgoing datagram, journaled and counted like any other Netem fault. *)
-let loss_faults ~cmd ~seed loss =
+(* [--inject-loss p] as the endpoint's fault scenario: an iid drop on every
+   outgoing datagram, journaled and counted like any other Netem fault. A
+   receiver runs it per flow, a sender as its one pipeline. *)
+let loss_scenario ~cmd loss =
   require ~cmd ~flag:"inject-loss" (loss >= 0.0 && loss <= 1.0) ~must_be:"in [0, 1]";
   if loss = 0.0 then None
-  else
-    Some
-      (Faults.Netem.create ~seed
-         (Faults.Scenario.make ~name:"lossy" [ Faults.Scenario.Drop_iid loss ]))
+  else Some (Faults.Scenario.make ~name:"lossy" [ Faults.Scenario.Drop_iid loss ])
+
+let loss_faults ~cmd ~seed loss =
+  Option.map (Faults.Netem.create ~seed) (loss_scenario ~cmd loss)
 
 let send_cmd =
   let run protocol host port file size loss seed adaptive batch tuning trace_out metrics_out =
@@ -628,24 +629,28 @@ let send_cmd =
 
 let recv_cmd =
   let run protocol port out loss seed tuning trace_out metrics_out =
-    let faults = loss_faults ~cmd:"recv" ~seed loss in
+    let scenario = loss_scenario ~cmd:"recv" loss in
     let socket = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
     Unix.bind socket (Unix.ADDR_INET (Unix.inet_addr_of_string "0.0.0.0", port));
     Printf.printf "listening on UDP port %d...\n%!" port;
     let tuning = resolve_tuning ~default:Protocol.Tuning.wire_default tuning in
     let recorder, metrics, flush = telemetry trace_out metrics_out in
-    let ctx = make_ctx ?faults ?recorder ?metrics ~tuning None in
-    let result = Sockets.Peer.serve_one ~ctx ~socket ~suite:protocol () in
+    let ctx = make_ctx ?recorder ?metrics ~tuning None in
+    (* No accept timeout: the call returns once a flow has settled. *)
+    let result =
+      Option.get
+        (Server.Engine.receive_one ~ctx ~fallback_suite:protocol ?scenario ~seed ~socket ())
+    in
     Unix.close socket;
     Printf.printf "received %d bytes (transfer %d)\n"
-      (String.length result.Sockets.Peer.data)
-      result.Sockets.Peer.transfer_id;
+      (String.length result.Sockets.Flow.data)
+      result.Sockets.Flow.transfer_id;
     (match out with
     | Some path ->
         let oc = open_out_bin path in
         Fun.protect
           ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc result.Sockets.Peer.data);
+          (fun () -> output_string oc result.Sockets.Flow.data);
         Printf.printf "wrote %s\n" path
     | None -> ());
     flush ()
@@ -698,17 +703,19 @@ let dump_cmd =
 
 let restore_cmd =
   let run port root loss seed =
-    let ctx = make_ctx ?faults:(loss_faults ~cmd:"restore" ~seed loss) None in
+    let scenario = loss_scenario ~cmd:"restore" loss in
     let socket = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
     Unix.bind socket (Unix.ADDR_INET (Unix.inet_addr_of_string "0.0.0.0", port));
     Printf.printf "waiting for a dump on UDP port %d...\n%!" port;
-    let result = Sockets.Peer.serve_one ~ctx ~socket () in
+    let result =
+      Option.get (Server.Engine.receive_one ~ctx:(make_ctx None) ?scenario ~seed ~socket ())
+    in
     Unix.close socket;
-    (match result.Sockets.Peer.integrity with
-    | Sockets.Peer.Verified -> print_endline "end-to-end checksum: verified"
-    | Sockets.Peer.Mismatch -> print_endline "WARNING: end-to-end checksum mismatch"
-    | Sockets.Peer.Not_carried -> print_endline "sender carried no checksum");
-    match Archive.decode result.Sockets.Peer.data with
+    (match result.Sockets.Flow.integrity with
+    | Sockets.Flow.Verified -> print_endline "end-to-end checksum: verified"
+    | Sockets.Flow.Mismatch -> print_endline "WARNING: end-to-end checksum mismatch"
+    | Sockets.Flow.Not_carried -> print_endline "sender carried no checksum");
+    match Archive.decode result.Sockets.Flow.data with
     | Error e -> Format.printf "archive decode failed: %a@." Archive.pp_error e
     | Ok entries ->
         let written = Archive.extract ~root entries in

@@ -10,14 +10,8 @@ let () =
   let data = String.init (512 * 1024) (fun _ -> Char.chr (Stats.Rng.int rng 256)) in
   let suite = Protocol.Suite.Multi_blast { strategy = Protocol.Blast.Go_back_n; chunk_packets = 64 } in
   (* Each endpoint drops 2% of its own outgoing datagrams, iid. *)
-  let ctx ~seed =
-    Sockets.Io_ctx.make
-      ~faults:
-        (Faults.Netem.create ~seed
-           (Faults.Scenario.make ~name:"lossy" [ Faults.Scenario.Drop_iid 0.02 ]))
-      ~tuning:(Protocol.Tuning.fixed ~retransmit_ns:25_000_000 ())
-      ()
-  in
+  let lossy = Faults.Scenario.make ~name:"lossy" [ Faults.Scenario.Drop_iid 0.02 ] in
+  let tuning = Protocol.Tuning.fixed ~retransmit_ns:25_000_000 () in
 
   let receiver_socket, receiver_address = Sockets.Udp.create_socket () in
   let sender_socket, _ = Sockets.Udp.create_socket () in
@@ -27,16 +21,17 @@ let () =
     Thread.create
       (fun () ->
         received :=
-          Some
-            (Sockets.Peer.serve_one ~ctx:(ctx ~seed:5) ~socket:receiver_socket ~suite ()))
+          Server.Engine.receive_one ~ctx:(Sockets.Io_ctx.make ~tuning ()) ~scenario:lossy
+            ~seed:5 ~fallback_suite:suite ~socket:receiver_socket ())
       ()
   in
 
   Printf.printf "sending %d KiB over UDP loopback with 2%% injected loss each way...\n%!"
     (String.length data / 1024);
   let result =
-    Sockets.Peer.send ~ctx:(ctx ~seed:6) ~socket:sender_socket ~peer:receiver_address
-      ~suite ~data ()
+    Sockets.Peer.send
+      ~ctx:(Sockets.Io_ctx.make ~faults:(Faults.Netem.create ~seed:6 lossy) ~tuning ())
+      ~socket:sender_socket ~peer:receiver_address ~suite ~data ()
   in
   Thread.join receiver_thread;
   Sockets.Udp.close receiver_socket;
@@ -44,7 +39,7 @@ let () =
 
   let intact =
     match !received with
-    | Some r -> String.equal r.Sockets.Peer.data data
+    | Some r -> String.equal r.Sockets.Flow.data data
     | None -> false
   in
   Printf.printf "outcome: %s in %.1f ms\n"

@@ -813,8 +813,9 @@ let run cfg =
         h.attempted h.completed h.rejected h.failed h.killed h.restarts h.superseded
         h.server_completed h.server_aborted
   | Some { verdict = v; _ } ->
+      (* Every recorded blast, put and repair, so blasts = ok + failed. *)
       line h "trial end blasts=%d ok=%d failed=%d quorum=%b repaired=%b actions=%d"
-        v.put_blasts h.completed h.failed v.quorum_met v.fully_replicated v.repair_actions);
+        h.attempted h.completed h.failed v.quorum_met v.fully_replicated v.repair_actions);
   let journal = Buffer.contents h.journal in
   let violations = List.rev !(h.violations) in
   let trial =
@@ -872,7 +873,7 @@ let pp_trial ppf (t : trial) =
       Format.fprintf ppf
         "seed %d [%s]: %d blasts (%d ok, %d failed), killed %s, quorum %s, repair %d \
          actions/%d rounds, %s; %d events over %.2f virtual s; %s"
-        t.seed t.fault_name v.put_blasts t.completed t.failed
+        t.seed t.fault_name t.attempted t.completed t.failed
         (match v.killed_member with Some i -> string_of_int i | None -> "none")
         (if v.quorum_met then "met" else "UNMET")
         v.repair_actions v.repair_rounds

@@ -727,144 +727,6 @@ let ablation_pacing ppf =
   Format.fprintf ppf
     "pacing at ~the receiver's deficit eliminates overruns and beats go-back-n repair@.by ~2x — rate-based flow control, the road the field eventually took.@."
 
-let udp ppf =
-  section ppf "UDP loopback validation (real sockets, injected loss)";
-  (* The 0-loss go-back-n rows show real receiver-side socket-buffer
-     overruns — the modern re-run of the paper's full-speed interface
-     errors; the paced row avoids them instead of repairing them. *)
-  let rng = Stats.Rng.create ~seed:99 in
-  let data = String.init 262_144 (fun _ -> Char.chr (Stats.Rng.int rng 256)) in
-  let run ?pacing_ns name suite loss =
-    let pacing =
-      match pacing_ns with
-      | Some ns -> Protocol.Tuning.Fixed_gap ns
-      | None -> Protocol.Tuning.No_pacing
-    in
-    let ctx =
-      {
-        (Sockets.Io_ctx.default ()) with
-        Sockets.Io_ctx.tuning =
-          Protocol.Tuning.fixed ~retransmit_ns:20_000_000 ~pacing ();
-      }
-    in
-    (* Each endpoint drops its own outgoing datagrams, iid. *)
-    let with_loss ~seed =
-      if loss = 0.0 then ctx
-      else
-        {
-          ctx with
-          Sockets.Io_ctx.faults =
-            Some
-              (Faults.Netem.create ~seed
-                 (Faults.Scenario.make ~name:"lossy" [ Faults.Scenario.Drop_iid loss ]));
-        }
-    in
-    let receiver_socket, receiver_address = Sockets.Udp.create_socket () in
-    let sender_socket, _ = Sockets.Udp.create_socket () in
-    let received = ref None in
-    let thread =
-      Thread.create
-        (fun () ->
-          received :=
-            Some
-              (Sockets.Peer.serve_one ~ctx:(with_loss ~seed:3) ~socket:receiver_socket
-                 ~suite ()))
-        ()
-    in
-    let result =
-      Sockets.Peer.send ~ctx:(with_loss ~seed:4) ~socket:sender_socket
-        ~peer:receiver_address ~suite ~data ()
-    in
-    Thread.join thread;
-    Sockets.Udp.close receiver_socket;
-    Sockets.Udp.close sender_socket;
-    let intact =
-      match !received with
-      | Some r -> String.equal r.Sockets.Peer.data data
-      | None -> false
-    in
-    [
-      name;
-      Printf.sprintf "%g" loss;
-      Printf.sprintf "%.1f" (float_of_int result.Sockets.Peer.elapsed_ns /. 1e6);
-      string_of_int result.Sockets.Peer.counters.Protocol.Counters.retransmitted_data;
-      (if intact && result.Sockets.Peer.outcome = Protocol.Action.Success then "yes" else "NO");
-    ]
-  in
-  let rows =
-    [
-      run "blast/go-back-n" (Protocol.Suite.Blast Protocol.Blast.Go_back_n) 0.0;
-      run ~pacing_ns:30_000 "blast/gbn, paced 30us" (Protocol.Suite.Blast Protocol.Blast.Go_back_n)
-        0.0;
-      run "blast/go-back-n" (Protocol.Suite.Blast Protocol.Blast.Go_back_n) 0.01;
-      run "blast/selective" (Protocol.Suite.Blast Protocol.Blast.Selective) 0.01;
-      run "multi-blast/gbn(64)"
-        (Protocol.Suite.Multi_blast { strategy = Protocol.Blast.Go_back_n; chunk_packets = 64 })
-        0.01;
-    ]
-  in
-  Format.fprintf ppf "%s@."
-    (Report.Table.render
-       ~header:[ "protocol"; "loss"; "elapsed (ms)"; "retx"; "intact" ]
-       ~rows ())
-
-let baseline_tcp ppf =
-  section ppf "Baseline: blast-over-UDP vs kernel TCP on loopback";
-  let rng = Stats.Rng.create ~seed:77 in
-  let sizes = [ 65_536; 524_288 ] in
-  let rows =
-    List.map
-      (fun bytes ->
-        let data = String.init bytes (fun _ -> Char.chr (Stats.Rng.int rng 256)) in
-        (* UDP blast path. *)
-        let udp_ms =
-          let receiver_socket, receiver_address = Sockets.Udp.create_socket () in
-          let sender_socket, _ = Sockets.Udp.create_socket () in
-          let thread =
-            Thread.create
-              (fun () -> ignore (Sockets.Peer.serve_one ~socket:receiver_socket ()))
-              ()
-          in
-          let result =
-            Sockets.Peer.send ~socket:sender_socket ~peer:receiver_address
-              ~suite:(Protocol.Suite.Multi_blast
-                        { strategy = Protocol.Blast.Go_back_n; chunk_packets = 64 })
-              ~data ()
-          in
-          Thread.join thread;
-          Sockets.Udp.close receiver_socket;
-          Sockets.Udp.close sender_socket;
-          float_of_int result.Sockets.Peer.elapsed_ns /. 1e6
-        in
-        (* Kernel TCP path. *)
-        let tcp_ms =
-          let listener, address = Sockets.Tcp_baseline.listen () in
-          let received = ref "" in
-          let thread =
-            Thread.create
-              (fun () -> received := Sockets.Tcp_baseline.serve_one ~socket:listener ())
-              ()
-          in
-          let elapsed = Sockets.Tcp_baseline.send ~peer:address ~data () in
-          Thread.join thread;
-          (try Unix.close listener with Unix.Unix_error _ -> ());
-          assert (String.equal !received data);
-          float_of_int elapsed /. 1e6
-        in
-        [
-          Printf.sprintf "%d KiB" (bytes / 1024);
-          Report.Table.fmt_ms udp_ms;
-          Report.Table.fmt_ms tcp_ms;
-        ])
-      sizes
-  in
-  Format.fprintf ppf "%s@."
-    (Report.Table.render
-       ~header:[ "size"; "blast/UDP (ms)"; "kernel TCP (ms)" ]
-       ~rows ());
-  Format.fprintf ppf
-    "loopback wall-clock, so sanity context rather than science: the kernel's TCP@.wins (no user-space packetization, checksums or handshake), but the 1985 design@.driven entirely from user space stays within an order of magnitude of it.@."
-
 let all : (string * (Format.formatter -> unit)) list =
   [
     ("fig1", fig1);
@@ -887,6 +749,4 @@ let all : (string * (Format.formatter -> unit)) list =
     ("ablation-pagesize", ablation_pagesize);
     ("ablation-overrun", ablation_overrun);
     ("ablation-pacing", ablation_pacing);
-    ("udp", udp);
-    ("baseline-tcp", baseline_tcp);
   ]

@@ -7,7 +7,7 @@
     {!postmortem} dumps the ring as JSONL — to the configured path, or to a
     fresh temp file — so "what were the last N datagrams doing" survives
     the crash site. Its callers: the one-transfer endpoints
-    ([Sockets.Peer.send_via], [Sockets.Peer.serve_one]) and the simulator's
+    ([Sockets.Peer.send_via], [Server.Engine.receive_one]) and the simulator's
     [Simnet.Driver] on a failure outcome, and [Server.Engine] once, on its
     first invariant violation. An engine's flows share one ring and never
     dump it per flow: it is exported whole at exit ([--trace-out]). *)

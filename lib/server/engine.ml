@@ -110,6 +110,10 @@ let create ?(max_flows = 64)
     ?(on_idle = fun () -> ()) ?(trace_epoch = 0) ?lane_prefix:(label_prefix = "")
     ~transport () =
   if max_flows < 0 then invalid_arg "Engine.create: negative max_flows";
+  (* An idle engine blocks until traffic, a wake or a stop: a transport
+     that cannot be woken would leave a stop unheard. *)
+  if Option.is_none transport.Sockets.Transport.wake then
+    invalid_arg "Engine.create: the transport cannot be woken";
   let ctx = match ctx with Some c -> c | None -> Sockets.Io_ctx.default () in
   let { Sockets.Io_ctx.recorder; metrics; clock; batch = _; faults = _; tuning } = ctx in
   Option.iter (fun r -> Obs.Recorder.set_clock r clock) recorder;
@@ -631,18 +635,19 @@ let snapshot t =
       ("counters", counters_json (rollup t));
     ]
 
-let run t =
+(* The serving loop until [finished], then shutdown. *)
+let serve t ~next_deadline ~finished =
   Log.info (fun f -> f "serving (max %d concurrent flows)" t.max_flows);
   Sockets.Loop.run t.loop
     {
-      Sockets.Loop.next_deadline = (fun () -> Sockets.Timers.peek_deadline t.timers);
+      Sockets.Loop.next_deadline;
       due =
         (fun ~now ->
           service_timers t ~now;
           t.on_idle ();
           Obs.Hist.add t.health.timer_heap_depth (float_of_int (timer_depth t)));
       receive = handle_datagram t;
-      finished = (fun () -> false);
+      finished;
     };
   (* Shutdown settles every live flow to a typed result — nothing is left
      dangling, and the caller's on_complete sees each one exactly once
@@ -660,6 +665,50 @@ let run t =
   | None -> ()
   | Some m -> Obs.Metrics.bridge_counters m ~labels:[ ("side", "server") ] (rollup t));
   Log.info (fun f -> f "server loop exits: %a" pp_totals t.totals)
+
+let run t =
+  serve t
+    ~next_deadline:(fun () -> Sockets.Timers.peek_deadline t.timers)
+    ~finished:(fun () -> false)
+
+(* One flow slot on the caller's socket, served until the first admitted
+   flow has left the table. Before any admission the heap is empty and the
+   accept deadline, if any, is the loop's. *)
+let receive_one ?ctx ?idle_timeout_ns ?accept_timeout_ns ?fallback_suite ?scenario ?seed
+    ~socket () =
+  let ctx = match ctx with Some c -> c | None -> Sockets.Io_ctx.default () in
+  let poller = Sockets.Poller.create () in
+  Fun.protect
+    ~finally:(fun () -> Sockets.Poller.close poller)
+    (fun () ->
+      let transport =
+        Sockets.Transport.udp ~batch:ctx.Sockets.Io_ctx.batch ~poller ~socket ()
+      in
+      let first = ref None in
+      let on_complete e = if Option.is_none !first then first := Some e.completion in
+      let t =
+        create ~max_flows:1 ?idle_timeout_ns ?fallback_suite ?scenario ?seed ~ctx
+          ~on_complete ~transport ()
+      in
+      let accept_until = Option.map (fun ns -> t.clock () + ns) accept_timeout_ns in
+      let waiting () = t.totals.accepted = 0 in
+      serve t
+        ~next_deadline:(fun () ->
+          if waiting () then accept_until else Sockets.Timers.peek_deadline t.timers)
+        ~finished:(fun () ->
+          if waiting () then
+            match accept_until with Some d -> t.clock () - d >= 0 | None -> false
+          else t.totals.completed + t.totals.aborted > 0);
+      (* A one-transfer endpoint owns its flight ring: a failure dumps it. *)
+      (match (!first, t.recorder) with
+      | Some { Sockets.Flow.outcome; _ }, Some recorder
+        when outcome <> Protocol.Action.Success ->
+          ignore
+            (Obs.Recorder.postmortem recorder
+               ~reason:(Format.asprintf "flow: %a" Protocol.Action.pp_outcome outcome)
+              : string option)
+      | _ -> ());
+      !first)
 
 let wake t = Sockets.Loop.wake t.loop
 let stop t = Sockets.Loop.stop t.loop

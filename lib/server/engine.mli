@@ -6,8 +6,8 @@
     loop health. The engine answers the loop's deadline from its own
     lazily invalidated timer heap of flow ticks, services everything due,
     and demultiplexes datagrams by [(peer address, transfer id)] into a
-    table of sans-IO {!Sockets.Flow} instances — the same flow
-    {!Sockets.Peer.serve_one} drives single-flow. Each admitted flow gets
+    table of sans-IO {!Sockets.Flow} instances: every responding flow runs
+    here, one transfer ({!receive_one}) or many. Each admitted flow gets
     its own counters, probe lane ([flow-N]) and, under a fault scenario,
     its own deterministically-seeded {!Faults.Netem} whose delayed
     emissions wait on the loop's timer rather than being slept inline, so
@@ -23,8 +23,7 @@
 
     {b No-hang guarantee.} Every flow's idle watchdog runs off the shared
     heap, and shutdown force-settles every live flow to a typed
-    completion. An idle engine on a wakeable transport blocks until
-    traffic, a wake or {!stop}.
+    completion. An idle engine blocks until traffic, a wake or {!stop}.
 
     The stat socket and periodic snapshots are not the engine's business:
     {!Group} hosts engines and serves both from its own thread, fetching
@@ -124,8 +123,9 @@ val create :
     force-settled at shutdown) fires it when the flow settles. Totals, the
     flowtrace terminal and admission still count a flow until its linger
     ends. Raises
-    [Invalid_argument] on a negative [max_flows]; [max_flows = 0] refuses
-    everything — the admission test's degenerate case.
+    [Invalid_argument] on a negative [max_flows] and on a transport without
+    [wake] (its idle wait could not hear a {!stop}); [max_flows = 0]
+    refuses everything — the admission test's degenerate case.
 
     [flowtrace] records every flow's lifecycle (admitted → first-data →
     rounds → verify → exactly one of done/failed/rejected/superseded),
@@ -142,6 +142,29 @@ val create :
 val run : t -> unit
 (** Serves until {!stop}. Runs in the calling thread; shutdown
     force-settles any flow still live. *)
+
+val receive_one :
+  ?ctx:Sockets.Io_ctx.t ->
+  ?idle_timeout_ns:int ->
+  ?accept_timeout_ns:int ->
+  ?fallback_suite:Protocol.Suite.t ->
+  ?scenario:Faults.Scenario.t ->
+  ?seed:int ->
+  socket:Unix.file_descr ->
+  unit ->
+  Sockets.Flow.completion option
+(** The one-transfer case: an engine with one flow slot on a poller-backed
+    transport over [socket] ([ctx.batch] decides batching), run in the
+    calling thread until its first admitted flow has been handed over and
+    has left the table after its linger. Returns that flow's completion —
+    the bytes, the whole-segment CRC verdict and the flow's counters — or
+    [None] when [accept_timeout_ns] passes with no REQ admitted; without
+    it the call waits for one. A sender that arrives while the slot is
+    busy gets a REJ. The other arguments are {!create}'s, with its
+    defaults (timers from [ctx.tuning], linger and watchdog from
+    {!Sockets.Flow.create}). A completion other than [Success] dumps
+    [ctx.recorder]'s flight ring, reason ["flow: <outcome>"], as every
+    one-transfer endpoint does. *)
 
 val stop : t -> unit
 (** {!Sockets.Loop.stop}: thread-safe, and prompt even from an unbounded

@@ -10,9 +10,10 @@
 
     {b Responding} ({!create}, from a REQ): handshake re-ack, datagram
     dispatch into the receiver machine, idle watchdog, post-completion
-    linger and the whole-segment CRC verdict. It runs single-flow under
-    {!Peer.serve_one} and multiplexed — hundreds of instances over one
-    socket — under [Server.Engine], with identical protocol behaviour.
+    linger and the whole-segment CRC verdict. It runs under
+    [Server.Engine] — one instance for a one-transfer endpoint
+    ([Server.Engine.receive_one]), hundreds multiplexed over one socket for
+    a server — with identical protocol behaviour.
 
     {b Initiating} ({!initiate}, from the data): the sender under
     {!Peer.send} — the REQ handshake, then the sender machine with its RTT
@@ -26,7 +27,8 @@
     {b Telemetry.} A flow reports through its probe (datagrams, timeouts,
     its terminal [Complete]) and never dumps the probe's flight recorder:
     an engine's flows share one ring, so a failed flow cannot own it. The
-    one-transfer endpoints in {!Peer} dump on a failure outcome. *)
+    one-transfer endpoints ({!Peer}'s senders,
+    [Server.Engine.receive_one]) dump on a failure outcome. *)
 
 type action =
   | Transmit of Packet.Message.t

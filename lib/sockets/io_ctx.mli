@@ -1,8 +1,8 @@
 (** Transport I/O context: one value for everything an endpoint used to
     take as parallel optional arguments.
 
-    Every transport entry point ({!Peer.send}, {!Peer.serve_one},
-    [Server.Engine.create], [Server.Swarm.run], ...) used to grow its own
+    Every transport entry point ({!Peer.send}, [Server.Engine.create],
+    [Server.Engine.receive_one], [Server.Swarm.run], ...) used to grow its own
     [?faults]/[?recorder]/[?metrics] triple; they now take a single [?ctx].
     The record is deliberately open — build one with {!make}, derive
     variants with functional update ([{ ctx with faults = ... }]), which is

@@ -132,11 +132,6 @@ let rec drain t client budget =
         client.receive ~now:(t.clock ()) view;
         1 + drain t client (budget - 1)
 
-(* Bounded service cap for a transport without a [wake] capability, where a
-   cross-thread [stop] can only be noticed by waking up. A loop on a
-   wakeable transport blocks indefinitely when nothing is due. *)
-let service_cap_ns = 50_000_000
-
 let account t client h ~now ~pre_wait ~resumed ~drained =
   h.ticks <- h.ticks + 1;
   if drained > 0 then Obs.Hist.add h.recv_drained (float_of_int drained);
@@ -164,16 +159,8 @@ let run t client =
     flush t;
     if not (finished ()) then begin
       (* The wait is derived purely from pending work: the earliest
-         deadline, capped only on a transport without wake. *)
-      let timeout_ns =
-        let bound =
-          match next_deadline t client with None -> max_int | Some d -> max 0 (d - now)
-        in
-        let bound =
-          if Option.is_none t.transport.Transport.wake then min bound service_cap_ns else bound
-        in
-        if bound = max_int then None else Some bound
-      in
+         deadline, or until traffic or a wake when nothing is pending. *)
+      let timeout_ns = Option.map (fun d -> max 0 (d - now)) (next_deadline t client) in
       let pre_wait = t.clock () in
       let resumed, drained =
         match t.transport.Transport.recv ~timeout_ns with
@@ -192,7 +179,7 @@ let run t client =
 
 (* Nudge a blocked loop: its next [recv] returns promptly. Safe from any
    thread (the transport's wake is); a no-op on transports without the
-   capability, whose waits stay capped instead. *)
+   capability. *)
 let wake t = Option.iter (fun w -> w ()) t.transport.Transport.wake
 
 let stop t =

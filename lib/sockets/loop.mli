@@ -5,14 +5,13 @@
     burst one [sendmmsg] train, netem-delayed emissions (on its own
     {!Timers} heap, never slept inline), loop health and stop/wake. Its
     {!client} supplies only a next deadline, its due work and the routing
-    of incoming datagrams: {!Peer}'s sender and receiver (one {!Flow}
-    each) and [Server.Engine] are clients, and only this module calls a
-    transport's [recv] or [poll].
+    of incoming datagrams: {!Peer}'s initiating flows and [Server.Engine]
+    are clients, and only this module calls a transport's [recv] or [poll].
 
     Each wakeup sends the due delayed emissions, calls [due] once and
-    flushes; then, unless finished, it waits for the earliest deadline (at
-    most 50 ms on a transport without [wake]), hands over up to
-    [drain_budget] datagrams and flushes again. *)
+    flushes; then, unless finished, it waits for the earliest deadline
+    (with none, until traffic or a wake), hands over up to [drain_budget]
+    datagrams and flushes again. *)
 
 (** Where a loop's time goes: [tick_duration_ns] is work per wakeup
     {e excluding} the wait, so its p99 rises when a single-domain loop
@@ -82,8 +81,9 @@ val pending : t -> int
 (** Delayed emissions waiting on the loop's timer. *)
 
 val stop : t -> unit
-(** Thread-safe: ends {!run} at its next check, and {!wake}s it. *)
+(** Thread-safe: ends {!run} at its next check, and {!wake}s it. A loop
+    whose transport has no [wake] hears it only at its next deadline. *)
 
 val wake : t -> unit
 (** From any thread: a blocked wait returns promptly. A no-op on a
-    transport without the capability, whose waits are capped instead. *)
+    transport without the capability. *)

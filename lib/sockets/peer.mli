@@ -1,11 +1,12 @@
-(** Bulk transfer over real UDP sockets.
+(** Bulk transfer over real UDP sockets: the initiating side.
 
     The same protocol machines that drive the simulator run here against the
     operating system's network stack. A transfer is preceded by a reliable
     handshake: the sender repeats a geometry-carrying [REQ] until the
     receiver answers with [ACK seq=0]; the receiver sizes its buffer from the
     geometry — the V kernel's buffers-before-transfer contract — and then
-    both sides run their machines.
+    both sides run their machines. The receiving side is [Server.Engine],
+    for one transfer ([Server.Engine.receive_one]) or many.
 
     Fault injection, telemetry, the clock, the batching switch and the
     {!Protocol.Tuning.t} (timers, attempts, train adaptation, pacing) all
@@ -13,19 +14,18 @@
     the monotonic clock, batching per the [LANREPRO_BATCH] knob, and
     {!Protocol.Tuning.wire_default}. Loopback never drops datagrams, so
     faults are injected at the endpoints: a {!Faults.Netem} (via
-    [ctx.faults]) runs each endpoint's outgoing datagrams through plain iid
+    [ctx.faults]) runs the sender's outgoing datagrams through plain iid
     loss ([Drop_iid p]) or the full adversarial pipeline — bursts,
     duplication, reordering, bit flips, truncation, delay.
 
-    Each end is one sans-IO {!Flow} — initiating under {!send}, responding
-    under {!serve_one} — driven by a {!Loop}: the loop waits for the flow's
-    own next deadline, ticks it once per wakeup, hands it one datagram per
-    wakeup, and puts netem-delayed emissions on its timer. {!send_all_via}
-    runs many initiating flows on one such loop, one transport and one
-    clock; {!send_via} is its one-flow case. With
-    [ctx.tuning = Adaptive _] the handshake negotiates AIMD trains with a
-    receiver-advertised budget, falling back to fixed trains against a
-    v1-only receiver (see {!Flow.initiate}).
+    Each transfer is one initiating sans-IO {!Flow}, driven by a {!Loop}:
+    the loop waits for the flows' own next deadline, ticks them once per
+    wakeup, hands over one datagram per wakeup, and puts netem-delayed
+    emissions on its timer. {!send_all_via} runs many initiating flows on
+    one such loop, one transport and one clock; {!send_via} is its one-flow
+    case. With [ctx.tuning = Adaptive _] the handshake negotiates AIMD
+    trains with a receiver-advertised budget, falling back to fixed trains
+    against a v1-only receiver (see {!Flow.initiate}).
 
     {b Batched I/O.} With [ctx.batch] (the default), each burst of protocol
     sends — a blast round — leaves at the loop's next flush point as one
@@ -36,13 +36,10 @@
     since a train has no inter-packet gaps.
 
     {b No-hang guarantee.} Every entry point is bounded: the handshake gives
-    up after the tuning's [max_attempts]; each flow's idle watchdog
+    up after the tuning's [max_attempts], and each flow's idle watchdog
     (default [max_attempts * retransmit_ns]) trips when the far end stops
-    sending datagrams; and both sides then return the clean
-    [Peer_unreachable] outcome instead of blocking or raising. The only
-    unbounded wait is [serve_one]'s initial listen for a REQ, and
-    [accept_timeout_ns] bounds that too; its socket has no poller, so the
-    loop wakes at its 50 ms cap while idle. *)
+    sending datagrams; the flow then returns the clean [Peer_unreachable]
+    outcome instead of blocking or raising. *)
 
 type send_result = {
   outcome : Protocol.Action.outcome;
@@ -53,20 +50,6 @@ type send_result = {
           tuning, and for adaptive tuning negotiated down by a budget-less
           ACK — the signature of an old (v1-only) receiver. A live receiver
           always obliges an adaptive REQ, whatever its own tuning. *)
-}
-
-type integrity = Flow.integrity = Verified | Mismatch | Not_carried
-
-type receive_result = {
-  data : string;  (** the reassembled transfer; [""] on [Peer_unreachable] *)
-  transfer_id : int;
-  receive_counters : Protocol.Counters.t;
-  integrity : integrity;
-      (** result of the whole-segment software CRC the sender carries in its
-          REQ — Spector's end-to-end check (paper reference [18]) *)
-  receive_outcome : Protocol.Action.outcome;
-      (** [Success] for a completed transfer; [Peer_unreachable] when the
-          idle watchdog (or accept timeout) aborted the wait *)
 }
 
 type transfer = {
@@ -157,35 +140,3 @@ val send :
     non-[Success] outcome. [ctx.metrics] receives
     the counter record and an elapsed-time gauge, labelled
     [side=sender, transport=udp]. *)
-
-val serve_one :
-  ?ctx:Io_ctx.t ->
-  ?idle_timeout_ns:int ->
-  ?accept_timeout_ns:int ->
-  ?suite:Protocol.Suite.t ->
-  socket:Unix.file_descr ->
-  unit ->
-  receive_result
-(** Accepts one incoming transfer and returns the reassembled data. Timers
-    come from [ctx.tuning]; after the transfer completes the receiver
-    lingers for 3x the retransmission interval to re-acknowledge duplicate
-    terminators from a sender whose final ack was lost. The protocol suite
-    normally travels in the REQ, so both ends match automatically; [suite]
-    is only a fallback for senders that omit it. An adaptive
-    (budget-stamped) REQ is always honoured — see {!Flow.create}.
-
-    Blocks until a [REQ] arrives unless [accept_timeout_ns] is given. Once a
-    transfer is underway only its sender's datagrams reach it: those from
-    other sources are dropped (undecodable ones counted in
-    [receive_counters]). A sender that goes silent for [idle_timeout_ns]
-    (default [max_attempts * retransmit_ns]) trips the watchdog and the call
-    returns with [receive_outcome = Peer_unreachable] — [serve_one] can no
-    longer block indefinitely on a dead sender.
-
-    [ctx.recorder] journals the receiver's datagram events on lane
-    ["receiver"]; sharing one recorder between [send] and [serve_one] is
-    safe — it is thread-safe and the clock installation is idempotent. It
-    is dumped on a non-[Success] outcome, reason ["flow: <outcome>"] (or
-    ["serve_one: peer unreachable"] when no transfer arrived).
-    [ctx.metrics] receives the counter record labelled
-    [side=receiver, transport=udp]. *)

@@ -1,6 +1,6 @@
 (** The datagram transport interface: one record of operations that the
-    one event loop, {!Loop} — under the sender and receiver of {!Peer} and
-    the multiplexed [Server.Engine] alike — programs against.
+    one event loop, {!Loop} — under the senders of {!Peer} and the
+    receiving [Server.Engine] alike — programs against.
 
     Two interpreters exist: {!udp} wraps a real socket (with optional
     [sendmmsg]/[recvmmsg] batching, exactly the former hard-wired fast
@@ -41,8 +41,9 @@ type t = {
           promptly — callable from any thread, spurious wakes allowed. The
           capability is what lets a serving loop block indefinitely when
           idle and still honor a cross-thread stop. [None]: the transport
-          cannot be woken, so loops that must remain stoppable keep a
-          bounded wait. *)
+          cannot be woken; a sender's loop, always waiting on its flows'
+          deadlines, needs no wake, and an engine refuses such a
+          transport. *)
 }
 
 val udp :

@@ -124,7 +124,7 @@ let test_dump_over_udp_blast () =
           let received = ref None in
           let thread =
             Thread.create
-              (fun () -> received := Some (Sockets.Peer.serve_one ~socket:receiver_socket ()))
+              (fun () -> received := Server.Engine.receive_one ~socket:receiver_socket ())
               ()
           in
           let result =
@@ -149,8 +149,8 @@ let test_dump_over_udp_blast () =
           | None -> Alcotest.fail "nothing received"
           | Some r -> begin
               Alcotest.(check bool) "integrity verified" true
-                (r.Sockets.Peer.integrity = Sockets.Peer.Verified);
-              match Archive.decode r.Sockets.Peer.data with
+                (r.Sockets.Flow.integrity = Sockets.Flow.Verified);
+              match Archive.decode r.Sockets.Flow.data with
               | Error e -> Alcotest.failf "decode after transfer: %a" Archive.pp_error e
               | Ok entries ->
                   ignore (Archive.extract ~root:target entries);

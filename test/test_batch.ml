@@ -337,7 +337,7 @@ let test_peer_transfer_batched () =
   let received = ref None in
   let thread =
     Thread.create
-      (fun () -> received := Some (Sockets.Peer.serve_one ~ctx ~socket:receiver_socket ()))
+      (fun () -> received := Server.Engine.receive_one ~ctx ~socket:receiver_socket ())
       ()
   in
   let result =
@@ -350,8 +350,8 @@ let test_peer_transfer_batched () =
   Alcotest.(check bool) "success" true (result.Sockets.Peer.outcome = Protocol.Action.Success);
   match !received with
   | Some r ->
-      Alcotest.(check bool) "data intact" true (String.equal r.Sockets.Peer.data data);
-      Alcotest.(check bool) "CRC verified" true (r.Sockets.Peer.integrity = Sockets.Peer.Verified)
+      Alcotest.(check bool) "data intact" true (String.equal r.Sockets.Flow.data data);
+      Alcotest.(check bool) "CRC verified" true (r.Sockets.Flow.integrity = Sockets.Flow.Verified)
   | None -> Alcotest.fail "nothing received"
 
 (* Same transfer under a seeded drop scenario with batching on: the faults
@@ -373,10 +373,9 @@ let test_peer_transfer_batched_lossy () =
     Thread.create
       (fun () ->
         received :=
-          Some
-            (Sockets.Peer.serve_one
-               ~ctx:(Sockets.Io_ctx.make ~batch:true ())
-               ~socket:receiver_socket ()))
+          Server.Engine.receive_one
+            ~ctx:(Sockets.Io_ctx.make ~batch:true ())
+            ~socket:receiver_socket ())
       ()
   in
   let result =
@@ -395,8 +394,8 @@ let test_peer_transfer_batched_lossy () =
     (result.Sockets.Peer.counters.Protocol.Counters.retransmitted_data > 0);
   match !received with
   | Some r ->
-      Alcotest.(check bool) "data intact" true (String.equal r.Sockets.Peer.data data);
-      Alcotest.(check bool) "CRC verified" true (r.Sockets.Peer.integrity = Sockets.Peer.Verified)
+      Alcotest.(check bool) "data intact" true (String.equal r.Sockets.Flow.data data);
+      Alcotest.(check bool) "CRC verified" true (r.Sockets.Flow.integrity = Sockets.Flow.Verified)
   | None -> Alcotest.fail "nothing received"
 
 (* Concurrent soak: a batched engine serving batched senders, every flow

@@ -154,7 +154,7 @@ let test_integrity_verified_on_clean_transfer () =
   let received = ref None in
   let thread =
     Thread.create
-      (fun () -> received := Some (Sockets.Peer.serve_one ~socket:receiver_socket ()))
+      (fun () -> received := Server.Engine.receive_one ~socket:receiver_socket ())
       ()
   in
   let _ =
@@ -166,7 +166,7 @@ let test_integrity_verified_on_clean_transfer () =
   Sockets.Udp.close sender_socket;
   match !received with
   | Some r ->
-      Alcotest.(check bool) "verified" true (r.Sockets.Peer.integrity = Sockets.Peer.Verified)
+      Alcotest.(check bool) "verified" true (r.Sockets.Flow.integrity = Sockets.Flow.Verified)
   | None -> Alcotest.fail "nothing received"
 
 let test_integrity_detects_mismatch () =
@@ -177,7 +177,7 @@ let test_integrity_detects_mismatch () =
   let received = ref None in
   let thread =
     Thread.create
-      (fun () -> received := Some (Sockets.Peer.serve_one ~socket:receiver_socket ()))
+      (fun () -> received := Server.Engine.receive_one ~socket:receiver_socket ())
       ()
   in
   let transfer_id = 7 in
@@ -211,8 +211,8 @@ let test_integrity_detects_mismatch () =
   match !received with
   | Some r ->
       Alcotest.(check bool) "mismatch flagged" true
-        (r.Sockets.Peer.integrity = Sockets.Peer.Mismatch);
-      Alcotest.(check string) "data still delivered" actual r.Sockets.Peer.data
+        (r.Sockets.Flow.integrity = Sockets.Flow.Mismatch);
+      Alcotest.(check string) "data still delivered" actual r.Sockets.Flow.data
   | None -> Alcotest.fail "nothing received"
 
 (* ------------------------------------------------- reordering robustness *)

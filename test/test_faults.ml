@@ -301,7 +301,7 @@ let test_sender_unreachable () =
 
 let test_receiver_watchdog () =
   (* A sender that completes the handshake and then dies: the receiver's
-     idle watchdog must fire and [serve_one] must return a clean abort —
+     idle watchdog must fire and [receive_one] must return a clean abort —
      this is the regression test for the receiver-hang bug. *)
   let receiver_socket, receiver_address = Sockets.Udp.create_socket () in
   let sender_socket, _ = Sockets.Udp.create_socket () in
@@ -310,15 +310,13 @@ let test_receiver_watchdog () =
     Thread.create
       (fun () ->
         result :=
-          Some
-            (Sockets.Peer.serve_one
-               ~ctx:
-                 (Sockets.Io_ctx.make
-                    ~tuning:
-                      (Protocol.Tuning.fixed ~retransmit_ns:5_000_000 ~max_attempts:4 ())
-                    ())
-               ~idle_timeout_ns:30_000_000 ~accept_timeout_ns:2_000_000_000
-               ~socket:receiver_socket ()))
+          Server.Engine.receive_one
+            ~ctx:
+              (Sockets.Io_ctx.make
+                 ~tuning:(Protocol.Tuning.fixed ~retransmit_ns:5_000_000 ~max_attempts:4 ())
+                 ())
+            ~idle_timeout_ns:30_000_000 ~accept_timeout_ns:2_000_000_000
+            ~socket:receiver_socket ())
       ()
   in
   let req =
@@ -335,12 +333,12 @@ let test_receiver_watchdog () =
   Sockets.Udp.close receiver_socket;
   Sockets.Udp.close sender_socket;
   match !result with
-  | None -> Alcotest.fail "serve_one did not return"
+  | None -> Alcotest.fail "no flow was admitted"
   | Some r ->
       Alcotest.(check bool)
         "clean abort" true
-        (r.Sockets.Peer.receive_outcome = Protocol.Action.Peer_unreachable);
-      Alcotest.(check string) "no data" "" r.Sockets.Peer.data
+        (r.Sockets.Flow.outcome = Protocol.Action.Peer_unreachable);
+      Alcotest.(check string) "no data" "" r.Sockets.Flow.data
 
 (* ------------------------------------------------------ UDP chaos soak *)
 

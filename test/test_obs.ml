@@ -320,14 +320,13 @@ let test_udp_chaos_events_match_counters () =
     | Some s -> s
     | None -> Alcotest.fail "chaos scenario missing"
   in
-  (* One go-back-n transfer, Peer.send against serve_one, each endpoint
-     behind its own chaos Netem (seeds 7 and 8), 6000 random bytes (seed 38)
-     in 512-byte packets on an 8 ms / 30-attempt timer. *)
+  (* One go-back-n transfer, Peer.send against Engine.receive_one, each
+     endpoint behind chaos (the sender's Netem seeded 7, the receiver's flow
+     seeded from 8), 6000 random bytes (seed 38) in 512-byte packets on an
+     8 ms / 30-attempt timer. *)
   let recorder = Obs.Recorder.create () in
   let tuning = Protocol.Tuning.fixed ~retransmit_ns:8_000_000 ~max_attempts:30 () in
-  let ctx seed =
-    Sockets.Io_ctx.make ~recorder ~tuning ~faults:(Faults.Netem.create ~seed scenario) ()
-  in
+  let ctx ?faults () = Sockets.Io_ctx.make ~recorder ~tuning ?faults () in
   let rng = Stats.Rng.create ~seed:38 in
   let data = String.init 6_000 (fun _ -> Char.chr (Stats.Rng.int rng 256)) in
   let receiver_socket, receiver_address = Sockets.Udp.create_socket () in
@@ -338,14 +337,14 @@ let test_udp_chaos_events_match_counters () =
     Thread.create
       (fun () ->
         received :=
-          Some
-            (Sockets.Peer.serve_one ~ctx:(ctx 8) ~idle_timeout_ns
-               ~accept_timeout_ns:((2 * idle_timeout_ns) + 500_000_000)
-               ~socket:receiver_socket ()))
+          Server.Engine.receive_one ~ctx:(ctx ()) ~scenario ~seed:8 ~idle_timeout_ns
+            ~accept_timeout_ns:((2 * idle_timeout_ns) + 500_000_000)
+            ~socket:receiver_socket ())
       ()
   in
   let send =
-    Sockets.Peer.send ~ctx:(ctx 7) ~transfer_id:3 ~packet_bytes:512 ~idle_timeout_ns
+    Sockets.Peer.send ~ctx:(ctx ~faults:(Faults.Netem.create ~seed:7 scenario) ())
+      ~transfer_id:3 ~packet_bytes:512 ~idle_timeout_ns
       ~socket:sender_socket ~peer:receiver_address
       ~suite:(Protocol.Suite.Blast Protocol.Blast.Go_back_n) ~data ()
   in
@@ -353,7 +352,7 @@ let test_udp_chaos_events_match_counters () =
   Sockets.Udp.close receiver_socket;
   Sockets.Udp.close sender_socket;
   let received =
-    match !received with Some r -> r | None -> Alcotest.fail "receiver raised"
+    match !received with Some r -> r | None -> Alcotest.fail "no flow was admitted"
   in
   (* The delivery oracle the fault harnesses share, over this one pair. *)
   let ledger = Server.Ledger.create () in
@@ -361,24 +360,15 @@ let test_udp_chaos_events_match_counters () =
     (Server.Ledger.sent ledger ~peer:sender_address ~transfer_id:3
        ~crc:(Packet.Checksum.crc32_string data) ~max_attempts:30 ~packets:12 send
       : string option);
-  ignore
-    (Server.Ledger.served ledger ~peer:sender_address
-       {
-         Sockets.Flow.data = received.Sockets.Peer.data;
-         transfer_id = received.Sockets.Peer.transfer_id;
-         counters = received.Sockets.Peer.receive_counters;
-         integrity = received.Sockets.Peer.integrity;
-         outcome = received.Sockets.Peer.receive_outcome;
-       }
-      : string option);
+  ignore (Server.Ledger.served ledger ~peer:sender_address received : string option);
   Alcotest.(check (list string)) "invariant holds" [] (Server.Ledger.violations ledger);
   if send.Sockets.Peer.outcome = Protocol.Action.Success then
     Alcotest.(check bool) "delivered bytes are the sent bytes" true
-      (String.equal received.Sockets.Peer.data data);
+      (String.equal received.Sockets.Flow.data data);
   let events = Obs.Recorder.events recorder in
   let faults_injected =
     send.Sockets.Peer.counters.Protocol.Counters.faults_injected
-    + received.Sockets.Peer.receive_counters.Protocol.Counters.faults_injected
+    + received.Sockets.Flow.counters.Protocol.Counters.faults_injected
   in
   Alcotest.(check int) "retransmit events == sender counter"
     send.Sockets.Peer.counters.Protocol.Counters.retransmitted_data

@@ -164,7 +164,7 @@ let test_experiment_registry_complete () =
       "fig1"; "table1"; "table2"; "table3"; "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "intext";
       "ablation-buffers"; "ablation-window"; "ablation-multiblast"; "ablation-burst";
       "ablation-load"; "ablation-rtt"; "ablation-dma"; "ablation-pagesize";
-      "ablation-overrun"; "ablation-pacing"; "udp"; "baseline-tcp";
+      "ablation-overrun"; "ablation-pacing";
     ]
 
 let () =

@@ -386,7 +386,21 @@ let test_ring_dst_clean_kill () =
   Alcotest.(check (list string)) "no violations" [] t.Dst.Harness.violations;
   Alcotest.(check bool) "a server was killed" true (v.Dst.Harness.killed_member <> None);
   Alcotest.(check bool) "quorum met before repair" true v.Dst.Harness.quorum_met;
-  Alcotest.(check bool) "fully replicated after repair" true v.Dst.Harness.fully_replicated
+  Alcotest.(check bool) "fully replicated after repair" true v.Dst.Harness.fully_replicated;
+  (* The summary counts every blast, the put's and the repair's. *)
+  Alcotest.(check bool) "repair re-blasted" true (v.Dst.Harness.repair_actions > 0);
+  let ok = t.Dst.Harness.completed and failed = t.Dst.Harness.failed in
+  let trial_end =
+    List.find
+      (fun l -> Str_exists.contains_substring l "] trial end ")
+      (String.split_on_char '\n' t.Dst.Harness.journal)
+  in
+  Scanf.sscanf trial_end "[%d] trial end blasts=%d" (fun _ blasts ->
+      Alcotest.(check int) "journal: blasts = ok + failed" (ok + failed) blasts);
+  Alcotest.(check bool) "summary: blasts = ok + failed" true
+    (Str_exists.contains_substring
+       (Format.asprintf "%a" Dst.Harness.pp_trial t)
+       (Printf.sprintf "%d blasts (%d ok, %d failed)" (ok + failed) ok failed))
 
 (* Satellite: kill-one convergence under {e every} netem scenario — quorum
    survives the death, repair restores full replication, and the journal
@@ -458,9 +472,9 @@ let test_ring_dst_kill_lands_mid_put () =
 let test_ring_dst_golden_digests () =
   let pins =
     [
-      (1, "d99545bf6e9f898347c6ec0425f4d2ef");
-      (2, "13f6b746f7d0219e5023531e337939eb");
-      (3, "56b3520ec5c7d47e501e5f69aeec9028");
+      (1, "50e2bae9104569e4ec3f771bdd8a34ed");
+      (2, "5645e2bbb388b576132dede33c6fa654");
+      (3, "1446ced6723c65b41d7dca4958428e56");
     ]
   in
   let trials =

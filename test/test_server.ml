@@ -392,8 +392,9 @@ let test_initiate_karn () =
 (* Raw REQs against a capped engine: flow N+1 gets a REJ datagram back. *)
 let test_admission_rej_reply () =
   let socket, address = Sockets.Udp.create_socket () in
+  let poller = Sockets.Poller.create () in
   let engine =
-    Server.Engine.create ~max_flows:2 ~transport:(Sockets.Transport.udp ~socket ()) ()
+    Server.Engine.create ~max_flows:2 ~transport:(Sockets.Transport.udp ~poller ~socket ()) ()
   in
   let domain = Domain.spawn (fun () -> Server.Engine.run engine) in
   let data = String.make 2048 'a' in
@@ -417,11 +418,25 @@ let test_admission_rej_reply () =
     "third refused with REJ" (Some Packet.Kind.Rej) (client 3);
   Server.Engine.stop engine;
   Domain.join domain;
+  Sockets.Poller.close poller;
   Sockets.Udp.close socket;
   let totals = Server.Engine.totals engine in
   Alcotest.(check int) "two accepted" 2 totals.Server.Engine.accepted;
   Alcotest.(check int) "one rejected" 1 totals.Server.Engine.rejected;
   Alcotest.(check int) "idle flows force-settled" 2 totals.Server.Engine.aborted
+
+(* An idle engine waits for traffic, a wake or a stop: on a transport that
+   cannot be woken a stop would go unheard, so creation refuses it. *)
+let test_admission_refuses_unwakeable () =
+  let socket, _ = Sockets.Udp.create_socket () in
+  Fun.protect
+    ~finally:(fun () -> Sockets.Udp.close socket)
+    (fun () ->
+      Alcotest.check_raises "no wake"
+        (Invalid_argument "Engine.create: the transport cannot be woken") (fun () ->
+          ignore
+            (Server.Engine.create ~transport:(Sockets.Transport.udp ~socket ()) ()
+              : Server.Engine.t)))
 
 (* A full sender against a zero-capacity server surfaces the clean outcome. *)
 let test_admission_sender_outcome () =
@@ -434,6 +449,116 @@ let test_admission_sender_outcome () =
       Alcotest.(check bool) "typed Rejected outcome" true
         (s.Server.Swarm.outcome = Protocol.Action.Rejected))
     report.Server.Swarm.senders
+
+(* ------------------------------------------------- one-transfer engine *)
+
+(* No sender: the accept timeout ends the wait, on the loop's own deadline. *)
+let test_receive_one_accept_timeout () =
+  let socket, _ = Sockets.Udp.create_socket () in
+  let t0 = Unix.gettimeofday () in
+  let received =
+    Fun.protect
+      ~finally:(fun () -> Sockets.Udp.close socket)
+      (fun () -> Server.Engine.receive_one ~accept_timeout_ns:300_000_000 ~socket ())
+  in
+  let waited = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "no transfer" true (Option.is_none received);
+  Alcotest.(check bool)
+    (Printf.sprintf "waited out the accept timeout, no longer (%.3f s)" waited)
+    true
+    (waited >= 0.29 && waited < 1.0)
+
+(* A second sender that arrives while the one slot is busy is refused with
+   a REJ; the call still returns the first sender's transfer, verified. The
+   first sender is hand-rolled, so the second lands mid-blast every time. *)
+let test_receive_one_rejects_second_sender () =
+  let data = String.init 1024 (fun i -> Char.chr (i * 7 land 0xff)) in
+  let receiver, address = Sockets.Udp.create_socket () in
+  let first, _ = Sockets.Udp.create_socket () in
+  let second, _ = Sockets.Udp.create_socket () in
+  let received = ref None in
+  let thread =
+    Thread.create
+      (fun () ->
+        received :=
+          Server.Engine.receive_one ~accept_timeout_ns:2_000_000_000 ~socket:receiver ())
+      ()
+  in
+  let send m = ignore (Sockets.Udp.send_message first address m : Sockets.Udp.send_outcome) in
+  let expect_ack what =
+    match Sockets.Udp.recv_message ~timeout_ns:2_000_000_000 first with
+    | `Message (m, _) when m.Packet.Message.kind = Packet.Kind.Ack -> ()
+    | _ -> Alcotest.failf "no %s" what
+  in
+  let packet seq =
+    Packet.Message.data ~transfer_id:1 ~seq ~total:4 ~payload:(String.sub data (seq * 256) 256)
+  in
+  send (flow_req ~transfer_id:1 ~data ~packet_bytes:256);
+  expect_ack "handshake ack";
+  send (packet 0);
+  send (packet 1);
+  let late =
+    Sockets.Peer.send ~socket:second ~peer:address
+      ~suite:(Protocol.Suite.Blast Protocol.Blast.Go_back_n) ~data:"too late" ()
+  in
+  send (packet 2);
+  send (packet 3);
+  expect_ack "blast ack";
+  Thread.join thread;
+  List.iter Sockets.Udp.close [ receiver; first; second ];
+  Alcotest.(check bool) "second sender rejected" true
+    (late.Sockets.Peer.outcome = Protocol.Action.Rejected);
+  match !received with
+  | None -> Alcotest.fail "nothing received"
+  | Some c ->
+      Alcotest.(check bool) "the first sender's bytes" true (String.equal c.Sockets.Flow.data data);
+      Alcotest.(check bool) "verified" true (c.Sockets.Flow.integrity = Sockets.Flow.Verified)
+
+(* A sender that completes the handshake and goes silent: the idle watchdog
+   settles the flow [Peer_unreachable] with no data, and the one-transfer
+   endpoint dumps its flight ring, reason first. *)
+let test_receive_one_silent_sender_dumps () =
+  let path = Filename.temp_file "receive_one_postmortem" ".jsonl" in
+  Sys.remove path;
+  let recorder = Obs.Recorder.create ~postmortem:path () in
+  let ctx =
+    Sockets.Io_ctx.make ~recorder
+      ~tuning:(Protocol.Tuning.fixed ~retransmit_ns:5_000_000 ~max_attempts:4 ())
+      ()
+  in
+  let receiver, address = Sockets.Udp.create_socket () in
+  let sender, _ = Sockets.Udp.create_socket () in
+  let received = ref None in
+  let thread =
+    Thread.create
+      (fun () ->
+        received :=
+          Server.Engine.receive_one ~ctx ~idle_timeout_ns:30_000_000
+            ~accept_timeout_ns:2_000_000_000 ~socket:receiver ())
+      ()
+  in
+  ignore
+    (Sockets.Udp.send_message sender address
+       (flow_req ~transfer_id:5 ~data:(String.make 1024 'x') ~packet_bytes:256)
+      : Sockets.Udp.send_outcome);
+  Thread.join thread;
+  Sockets.Udp.close receiver;
+  Sockets.Udp.close sender;
+  (match !received with
+  | None -> Alcotest.fail "no flow was admitted"
+  | Some c ->
+      Alcotest.(check bool) "peer unreachable" true
+        (c.Sockets.Flow.outcome = Protocol.Action.Peer_unreachable);
+      Alcotest.(check string) "no data" "" c.Sockets.Flow.data);
+  Alcotest.(check bool) "dump written" true (Sys.file_exists path);
+  let ic = open_in path in
+  let meta = input_line ic in
+  close_in ic;
+  Sys.remove path;
+  Alcotest.(check bool)
+    (Printf.sprintf "meta line names the outcome: %s" meta)
+    true
+    (Str_exists.contains_substring meta "\"postmortem\":\"flow: peer unreachable\"")
 
 (* ---------------------------------------------------------- delivery oracle *)
 
@@ -586,6 +711,17 @@ let () =
         [
           Alcotest.test_case "REJ past the cap" `Quick test_admission_rej_reply;
           Alcotest.test_case "sender surfaces Rejected" `Quick test_admission_sender_outcome;
+          Alcotest.test_case "a transport without wake is refused" `Quick
+            test_admission_refuses_unwakeable;
+        ] );
+      ( "one slot",
+        [
+          Alcotest.test_case "accept timeout returns None" `Quick
+            test_receive_one_accept_timeout;
+          Alcotest.test_case "a second sender is rejected" `Quick
+            test_receive_one_rejects_second_sender;
+          Alcotest.test_case "a silent sender dumps the flight ring" `Quick
+            test_receive_one_silent_sender_dumps;
         ] );
       ( "ledger",
         [

@@ -4,14 +4,16 @@
 
 let random_data rng n = String.init n (fun _ -> Char.chr (Stats.Rng.int rng 256))
 
-(* Endpoint loss: iid drops on one endpoint's outgoing datagrams. *)
-let drop_iid ~seed p =
-  Faults.Netem.create ~seed (Faults.Scenario.make ~name:"lossy" [ Faults.Scenario.Drop_iid p ])
+(* Endpoint loss: iid drops on one endpoint's outgoing datagrams — a
+   sender's one pipeline, or a receiver's per-flow scenario. *)
+let drop_scenario p = Faults.Scenario.make ~name:"lossy" [ Faults.Scenario.Drop_iid p ]
+
+let drop_iid ~seed p = Faults.Netem.create ~seed (drop_scenario p)
 
 let dropped netem = (Faults.Netem.stats netem).Faults.Netem.dropped
 
-let transfer ?sender_faults ?receiver_faults ?(packet_bytes = 1024) ?(retransmit_ns = 20_000_000)
-    ?tuning ?receiver_tuning ~suite ~data () =
+let transfer ?sender_faults ?receiver_scenario ?receiver_seed ?(packet_bytes = 1024)
+    ?(retransmit_ns = 20_000_000) ?tuning ?receiver_tuning ~suite ~data () =
   let receiver_socket, receiver_address = Sockets.Udp.create_socket () in
   let sender_socket, _ = Sockets.Udp.create_socket () in
   let sender_tuning =
@@ -22,8 +24,7 @@ let transfer ?sender_faults ?receiver_faults ?(packet_bytes = 1024) ?(retransmit
   let receiver_tuning =
     match receiver_tuning with Some t -> t | None -> sender_tuning
   in
-  let ctx_of ?faults t = Sockets.Io_ctx.make ?faults ~tuning:t () in
-  let ctx = ctx_of ?faults:sender_faults sender_tuning in
+  let ctx = Sockets.Io_ctx.make ?faults:sender_faults ~tuning:sender_tuning () in
   let received = ref None in
   let receiver_error = ref None in
   let thread =
@@ -31,10 +32,10 @@ let transfer ?sender_faults ?receiver_faults ?(packet_bytes = 1024) ?(retransmit
       (fun () ->
         try
           received :=
-            Some
-              (Sockets.Peer.serve_one
-                 ~ctx:(ctx_of ?faults:receiver_faults receiver_tuning)
-                 ~socket:receiver_socket ~suite ())
+            Server.Engine.receive_one
+              ~ctx:(Sockets.Io_ctx.make ~tuning:receiver_tuning ())
+              ?scenario:receiver_scenario ?seed:receiver_seed ~fallback_suite:suite
+              ~socket:receiver_socket ()
         with exn -> receiver_error := Some exn)
       ()
   in
@@ -51,9 +52,10 @@ let transfer ?sender_faults ?receiver_faults ?(packet_bytes = 1024) ?(retransmit
   (match !receiver_error with Some exn -> raise exn | None -> ());
   (result, Option.get !received)
 
-let check_roundtrip ?sender_faults ?receiver_faults ?packet_bytes ~suite ~data () =
+let check_roundtrip ?sender_faults ?receiver_scenario ?receiver_seed ?packet_bytes ~suite
+    ~data () =
   let send_result, receive_result =
-    transfer ?sender_faults ?receiver_faults ?packet_bytes ~suite ~data ()
+    transfer ?sender_faults ?receiver_scenario ?receiver_seed ?packet_bytes ~suite ~data ()
   in
   Alcotest.(check bool)
     (Protocol.Suite.name suite ^ " completes")
@@ -62,11 +64,11 @@ let check_roundtrip ?sender_faults ?receiver_faults ?packet_bytes ~suite ~data (
   Alcotest.(check int)
     (Protocol.Suite.name suite ^ " length")
     (String.length data)
-    (String.length receive_result.Sockets.Peer.data);
+    (String.length receive_result.Sockets.Flow.data);
   Alcotest.(check bool)
     (Protocol.Suite.name suite ^ " bytes intact")
     true
-    (String.equal data receive_result.Sockets.Peer.data)
+    (String.equal data receive_result.Sockets.Flow.data)
 
 let all_suites =
   [
@@ -115,7 +117,7 @@ let test_lossy_sender_side () =
       let data = random_data rng 20_000 in
       (* The sender's 5% receive loss is now the receiver's transmit loss. *)
       check_roundtrip ~sender_faults:(drop_iid ~seed:42 0.1)
-        ~receiver_faults:(drop_iid ~seed:43 0.05) ~suite ~data ())
+        ~receiver_scenario:(drop_scenario 0.05) ~receiver_seed:43 ~suite ~data ())
     [
       Protocol.Suite.Blast Protocol.Blast.Go_back_n;
       Protocol.Suite.Blast Protocol.Blast.Selective;
@@ -126,16 +128,16 @@ let test_lossy_both_sides_retransmits () =
   let rng = Stats.Rng.create ~seed:6 in
   let data = random_data rng 30_000 in
   let sender_faults = drop_iid ~seed:7 0.15 in
-  let receiver_faults = drop_iid ~seed:8 0.15 in
   let send_result, receive_result =
-    transfer ~sender_faults ~receiver_faults
+    transfer ~sender_faults ~receiver_scenario:(drop_scenario 0.15) ~receiver_seed:8
       ~suite:(Protocol.Suite.Blast Protocol.Blast.Go_back_n) ~data ()
   in
   Alcotest.(check bool) "completes" true
     (send_result.Sockets.Peer.outcome = Protocol.Action.Success);
-  Alcotest.(check bool) "data intact" true (String.equal data receive_result.Sockets.Peer.data);
+  Alcotest.(check bool) "data intact" true (String.equal data receive_result.Sockets.Flow.data);
   Alcotest.(check bool) "losses actually injected" true
-    (dropped sender_faults > 0 || dropped receiver_faults > 0);
+    (dropped sender_faults > 0
+    || receive_result.Sockets.Flow.counters.Protocol.Counters.faults_injected > 0);
   Alcotest.(check bool) "retransmissions happened" true
     (send_result.Sockets.Peer.counters.Protocol.Counters.retransmitted_data > 0)
 
@@ -196,9 +198,8 @@ let test_largest_packet_adaptive () =
     Thread.create
       (fun () ->
         received :=
-          Some
-            (Sockets.Peer.serve_one ~ctx ~accept_timeout_ns:2_000_000_000
-               ~socket:receiver_socket ()))
+          Server.Engine.receive_one ~ctx ~accept_timeout_ns:2_000_000_000
+            ~socket:receiver_socket ())
       ()
   in
   let sent =
@@ -217,9 +218,9 @@ let test_largest_packet_adaptive () =
       Alcotest.(check bool) "completes" true
         (sent.Sockets.Peer.outcome = Protocol.Action.Success);
       Alcotest.(check bool) "adaptive" true sent.Sockets.Peer.adaptive;
-      Alcotest.(check bool) "bytes intact" true (String.equal data received.Sockets.Peer.data)
+      Alcotest.(check bool) "bytes intact" true (String.equal data received.Sockets.Flow.data)
   | None, _ -> Alcotest.fail "65479-byte packets refused"
-  | Some _, None -> Alcotest.fail "receiver raised"
+  | Some _, None -> Alcotest.fail "nothing received"
 
 let test_geometry_roundtrip () =
   let m = Packet.Message.req_with_geometry ~transfer_id:9 ~packet_bytes:512 ~total_bytes:5_000 in
@@ -265,8 +266,9 @@ let test_suite_carried_in_req () =
   let thread =
     Thread.create
       (fun () ->
-        (* Deliberately no ~suite: the receiver must learn it from the REQ. *)
-        received := Some (Sockets.Peer.serve_one ~socket:receiver_socket ()))
+        (* Deliberately no ~fallback_suite: the receiver must learn it from
+           the REQ. *)
+        received := Server.Engine.receive_one ~socket:receiver_socket ())
       ()
   in
   let suite = Protocol.Suite.Multi_blast { strategy = Protocol.Blast.Selective; chunk_packets = 16 } in
@@ -276,7 +278,7 @@ let test_suite_carried_in_req () =
   Sockets.Udp.close sender_socket;
   Alcotest.(check bool) "success" true (result.Sockets.Peer.outcome = Protocol.Action.Success);
   match !received with
-  | Some r -> Alcotest.(check bool) "intact" true (String.equal r.Sockets.Peer.data data)
+  | Some r -> Alcotest.(check bool) "intact" true (String.equal r.Sockets.Flow.data data)
   | None -> Alcotest.fail "nothing received"
 
 let test_suite_codec_roundtrip () =
@@ -332,7 +334,7 @@ let test_survives_garbage_datagrams () =
   let received = ref None in
   let receiver_thread =
     Thread.create
-      (fun () -> received := Some (Sockets.Peer.serve_one ~socket:receiver_socket ()))
+      (fun () -> received := Server.Engine.receive_one ~socket:receiver_socket ())
       ()
   in
   let stop_noise = ref false in
@@ -364,9 +366,9 @@ let test_survives_garbage_datagrams () =
     (result.Sockets.Peer.outcome = Protocol.Action.Success);
   match !received with
   | Some r ->
-      Alcotest.(check bool) "data intact" true (String.equal r.Sockets.Peer.data data);
+      Alcotest.(check bool) "data intact" true (String.equal r.Sockets.Flow.data data);
       Alcotest.(check bool) "integrity verified" true
-        (r.Sockets.Peer.integrity = Sockets.Peer.Verified)
+        (r.Sockets.Flow.integrity = Sockets.Flow.Verified)
   | None -> Alcotest.fail "nothing received"
 
 let test_paced_send_roundtrip () =
@@ -377,7 +379,7 @@ let test_paced_send_roundtrip () =
   let received = ref None in
   let thread =
     Thread.create
-      (fun () -> received := Some (Sockets.Peer.serve_one ~socket:receiver_socket ()))
+      (fun () -> received := Server.Engine.receive_one ~socket:receiver_socket ())
       ()
   in
   let result =
@@ -395,7 +397,7 @@ let test_paced_send_roundtrip () =
   Sockets.Udp.close sender_socket;
   Alcotest.(check bool) "success" true (result.Sockets.Peer.outcome = Protocol.Action.Success);
   (match !received with
-  | Some r -> Alcotest.(check bool) "intact" true (String.equal r.Sockets.Peer.data data)
+  | Some r -> Alcotest.(check bool) "intact" true (String.equal r.Sockets.Flow.data data)
   | None -> Alcotest.fail "nothing received");
   (* Pacing slows the blast to at least packets x gap. *)
   Alcotest.(check bool) "pacing actually slows the train" true
@@ -415,7 +417,7 @@ let test_adaptive_roundtrip () =
   Alcotest.(check bool) "handshake settled on adaptive" true
     send_result.Sockets.Peer.adaptive;
   Alcotest.(check bool) "data intact" true
-    (String.equal data receive_result.Sockets.Peer.data)
+    (String.equal data receive_result.Sockets.Flow.data)
 
 let test_adaptive_lossy_roundtrip () =
   let rng = Stats.Rng.create ~seed:72 in
@@ -433,7 +435,7 @@ let test_adaptive_lossy_roundtrip () =
     (send_result.Sockets.Peer.outcome = Protocol.Action.Success);
   Alcotest.(check bool) "adaptive" true send_result.Sockets.Peer.adaptive;
   Alcotest.(check bool) "data intact" true
-    (String.equal data receive_result.Sockets.Peer.data);
+    (String.equal data receive_result.Sockets.Flow.data);
   Alcotest.(check bool) "losses actually injected" true
     (dropped sender_faults > 0)
 
@@ -453,7 +455,7 @@ let test_adaptive_honored_by_fixed_receiver () =
   Alcotest.(check bool) "receiver obliges the adaptive REQ" true
     send_result.Sockets.Peer.adaptive;
   Alcotest.(check bool) "data intact" true
-    (String.equal data receive_result.Sockets.Peer.data)
+    (String.equal data receive_result.Sockets.Flow.data)
 
 (* A v1-only peer, emulated faithfully: every wire-v2 (budget-stamped)
    datagram is dropped on the floor — an old decoder cannot parse the frame
@@ -566,21 +568,7 @@ let test_fixed_sender_against_adaptive_receiver () =
     (send_result.Sockets.Peer.outcome = Protocol.Action.Success);
   Alcotest.(check bool) "stays fixed" false send_result.Sockets.Peer.adaptive;
   Alcotest.(check bool) "data intact" true
-    (String.equal data receive_result.Sockets.Peer.data)
-
-let test_tcp_baseline_roundtrip () =
-  let rng = Stats.Rng.create ~seed:88 in
-  let data = random_data rng 200_000 in
-  let listener, address = Sockets.Tcp_baseline.listen () in
-  let received = ref "" in
-  let thread =
-    Thread.create (fun () -> received := Sockets.Tcp_baseline.serve_one ~socket:listener ()) ()
-  in
-  let elapsed_ns = Sockets.Tcp_baseline.send ~peer:address ~data () in
-  Thread.join thread;
-  (try Unix.close listener with Unix.Unix_error _ -> ());
-  Alcotest.(check bool) "data intact" true (String.equal !received data);
-  Alcotest.(check bool) "elapsed positive" true (elapsed_ns > 0)
+    (String.equal data receive_result.Sockets.Flow.data)
 
 (* An eight-datagram train of 600-byte datagrams, sent through a fast-path
    batch: one GSO message where the kernel has them. *)
@@ -688,8 +676,6 @@ let () =
             Alcotest.test_case "receiver learns suite from REQ" `Quick test_suite_carried_in_req;
             Alcotest.test_case "suite codec roundtrip" `Quick test_suite_codec_roundtrip;
           ] );
-        ( "tcp-baseline",
-          [ Alcotest.test_case "roundtrip" `Quick test_tcp_baseline_roundtrip ] );
         ( "transport",
           [
             Alcotest.test_case "GRO views, then whole datagrams unbatched" `Quick
